@@ -38,5 +38,4 @@ for n in (11, 37, 101, 145):
 # The canonical divisor decomposes into the cusp part and the two blocks.
 cd = canonical_decomposition(37)
 print(f"\ncanonical class at N=37: (2g-2) = {cd.mult_infty}, "
-      f"|H_i| = {cd.h_i.count}, |H_j| = {cd.h_j.count}, "
-      f"block degrees ({cd.h_i.degree()}, {cd.h_j.degree()})")
+      f"|H_i| = {cd.h_i.count}, |H_j| = {cd.h_j.count}")

@@ -3,7 +3,8 @@ arithmetic Chow group of the modular curves X_0(N), N squarefree.
 
 Subpackages by capability:
 
-* ``gamma0``     invariants of Gamma_0(N) (index, elliptic points, cusps, genus)
+* ``gamma0``     invariants of Gamma_0(N) (index, elliptic points, cusps, genus),
+                 and the package's one primality test and factorization
 * ``symbolic``   exact arithmetic over the basis ONE, KAPPA, LOG(p)
 * ``eis``        the Eisenstein basis, its Gram matrix, W-hat and omega_Eis^2
 * ``hecke``      T-hat_l and w-hat_d with self-adjointness and commutation tests

@@ -15,6 +15,7 @@ import sys
 from . import disc, eis, hecke, lseries
 from .errors import EischowError
 from .gamma0 import invariants
+from .symbolic import SymbolicReal
 
 __all__ = ["main", "run"]
 
@@ -50,18 +51,12 @@ def _cmd_invariants(args) -> dict:
 
 def _gram_table(obj):
     labels = obj["basis"]
-    width = max(
-        len(eis.gram(obj["N"]).entries[i][j].to_text())
-        for i in range(len(labels))
-        for j in range(len(labels))
-    )
+    cells = [[SymbolicReal.from_json_obj(e).to_text() for e in row] for row in obj["entries"]]
+    width = max(len(c) for row in cells for c in row)
     yield f"Gram matrix at N={obj['N']} (convention: {obj['dinf_pairing']})"
-    g = eis.gram(obj["N"], obj["dinf_pairing"])
-    header = " " * 8 + "  ".join(f"{l:>{width}}" for l in labels)
-    yield header
-    for i, lab in enumerate(labels):
-        row = "  ".join(f"{g.entries[i][j].to_text():>{width}}" for j in range(len(labels)))
-        yield f"{lab:>6}  {row}"
+    yield " " * 8 + "  ".join(f"{l:>{width}}" for l in labels)
+    for lab, row in zip(labels, cells):
+        yield f"{lab:>6}  " + "  ".join(f"{c:>{width}}" for c in row)
 
 
 def _cmd_gram(args) -> dict:

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .errors import BasisMismatch, DegenerateGenus
-from .gamma0 import Gamma0Data, invariants
+from .gamma0 import Gamma0Data, invariants, is_prime
 from .symbolic import KAPPA, LOG, ONE, SymbolicReal, linear_product
 
 __all__ = [
@@ -167,7 +168,7 @@ class GramMatrix:
 
 def _fiber_denominator(inv: Gamma0Data, p: int) -> int:
     # g_N - 2 g_{N/p} + 1
-    return inv.genus - 2 * invariants(inv.N // p).genus + 1
+    return inv.genus - 2 * inv.quotient(p).genus + 1
 
 
 def gram(N: int, dinf_pairing: str = "log") -> GramMatrix:
@@ -178,20 +179,23 @@ def gram(N: int, dinf_pairing: str = "log") -> GramMatrix:
     fiber denominator does not stop the table from being built; only the
     operations that divide by it refuse (w_vector and friends).
     """
+    return _gram(invariants(N), dinf_pairing)
+
+
+def _gram(inv: Gamma0Data, dinf_pairing: str) -> GramMatrix:
     if dinf_pairing not in ("log", "zero"):
         raise ValueError("dinf_pairing must be 'log' or 'zero'")
-    inv = invariants(N)
-    basis = EisBasis(N=N, primes=inv.primes)
+    basis = EisBasis(N=inv.N, primes=inv.primes)
     zero = SymbolicReal.zero()
     n = basis.dimension
     rows = [[zero] * n for _ in range(n)]
     rows[0][1] = rows[1][0] = Fraction(1, 2) * ONE
     rows[1][1] = Fraction(144, inv.psi) * KAPPA
-    for k, p in enumerate(inv.primes):
-        i = 2 + k
+    for i, p in enumerate(inv.primes, start=2):
+        log_p = LOG(p)
         if dinf_pairing == "log":
-            rows[1][i] = rows[i][1] = LOG(p)
-        rows[i][i] = Fraction(-4 * _fiber_denominator(inv, p)) * LOG(p)
+            rows[1][i] = rows[i][1] = log_p
+        rows[i][i] = Fraction(-4 * _fiber_denominator(inv, p)) * log_p
     return GramMatrix(basis=basis, entries=tuple(tuple(r) for r in rows), dinf_pairing=dinf_pairing)
 
 
@@ -216,16 +220,39 @@ def pair(x: EisVector, y: EisVector, gram_matrix: GramMatrix | None = None) -> S
 
 def degenerate_denominators(N: int) -> list[int]:
     """Primes p | N at which the denominator g - 2 g_{N/p} + 1 vanishes."""
-    inv = invariants(N)
+    return _degenerate(invariants(N))
+
+
+def _degenerate(inv: Gamma0Data) -> list[int]:
     return [p for p in inv.primes if _fiber_denominator(inv, p) == 0]
 
 
 def _require_nondegenerate(inv: Gamma0Data):
     if inv.genus < 1:
         raise DegenerateGenus(f"genus of X_0({inv.N}) is {inv.genus} < 1")
-    bad = degenerate_denominators(inv.N)
+    bad = _degenerate(inv)
     if bad:
         raise DegenerateGenus(f"vanishing denominator g - 2g_(N/p) + 1 at p in {bad}")
+
+
+def _level_and_gram(N: int, gram_matrix: GramMatrix | None) -> tuple[Gamma0Data, GramMatrix]:
+    """Invariants of a nondegenerate level N and the Gram matrix to pair with."""
+    inv = invariants(N)
+    _require_nondegenerate(inv)
+    if gram_matrix is None:
+        return inv, _gram(inv, "log")
+    if gram_matrix.basis != EisBasis(N=N, primes=inv.primes):
+        raise BasisMismatch(f"Gram matrix is at level {gram_matrix.basis.N}, not {N}")
+    return inv, gram_matrix
+
+
+def _fiber_log_sum(inv: Gamma0Data) -> SymbolicReal:
+    # -(g-1)^2 sum_p log p / (g - 2 g_{N/p} + 1), shared by W^2 and omega_Eis^2
+    g = inv.genus
+    total = SymbolicReal.zero()
+    for p in inv.primes:
+        total = total + Fraction(-((g - 1) ** 2), _fiber_denominator(inv, p)) * LOG(p)
+    return total
 
 
 def w_vector(N: int, gram_matrix: GramMatrix | None = None) -> EisVector:
@@ -235,19 +262,16 @@ def w_vector(N: int, gram_matrix: GramMatrix | None = None) -> EisVector:
     coefficient is the unique constant making <W-hat, DINF> = 0, which is a
     rational combination of LOG(p) carried exactly as a symbolic value.
     """
-    inv = invariants(N)
-    _require_nondegenerate(inv)
-    G = gram_matrix if gram_matrix is not None else gram(N)
+    return _w_vector(*_level_and_gram(N, gram_matrix))
+
+
+def _w_vector(inv: Gamma0Data, G: GramMatrix) -> EisVector:
     basis = G.basis
     g = inv.genus
-    coords: list = [0] * basis.dimension
-    for k, p in enumerate(inv.primes):
-        coords[2 + k] = Fraction(-(g - 1), 2 * _fiber_denominator(inv, p))
+    coords: list = [0, 0] + [Fraction(-(g - 1), 2 * _fiber_denominator(inv, p)) for p in inv.primes]
     partial = EisVector(basis, coords)
     # solve <partial + c*F, DINF> = 0; <F, DINF> = 1/2 ONE
-    s = pair(partial, EisVector.unit(basis, "DINF"), G)
-    c = -2 * s
-    coords[0] = c
+    coords[0] = -2 * pair(partial, EisVector.unit(basis, "DINF"), G)
     return EisVector(basis, coords)
 
 
@@ -257,14 +281,9 @@ def w_square(N: int, gram_matrix: GramMatrix | None = None) -> SymbolicReal:
     The closed form is returned after being checked, exactly, against the
     Gram-matrix pairing of w_vector with itself.
     """
-    inv = invariants(N)
-    _require_nondegenerate(inv)
-    G = gram_matrix if gram_matrix is not None else gram(N)
-    g = inv.genus
-    closed = SymbolicReal.zero()
-    for p in inv.primes:
-        closed = closed + Fraction(-((g - 1) ** 2), _fiber_denominator(inv, p)) * LOG(p)
-    w = w_vector(N, G)
+    inv, G = _level_and_gram(N, gram_matrix)
+    closed = _fiber_log_sum(inv)
+    w = _w_vector(inv, G)
     if pair(w, w, G) != closed:
         raise AssertionError(f"W^2 closed formula disagrees with the pairing at N={N}")
     return closed
@@ -272,10 +291,16 @@ def w_square(N: int, gram_matrix: GramMatrix | None = None) -> SymbolicReal:
 
 def omega_eis_vector(N: int, gram_matrix: GramMatrix | None = None) -> EisVector:
     """omega-hat_Eis = (2g-2) DINF + W-hat."""
-    inv = invariants(N)
-    _require_nondegenerate(inv)
-    G = gram_matrix if gram_matrix is not None else gram(N)
-    return (2 * inv.genus - 2) * EisVector.unit(G.basis, "DINF") + w_vector(N, G)
+    return _omega_eis_vector(*_level_and_gram(N, gram_matrix))
+
+
+def _omega_eis_vector(inv: Gamma0Data, G: GramMatrix) -> EisVector:
+    return (2 * inv.genus - 2) * EisVector.unit(G.basis, "DINF") + _w_vector(inv, G)
+
+
+def _omega_pairing(inv: Gamma0Data, G: GramMatrix) -> SymbolicReal:
+    v = _omega_eis_vector(inv, G)
+    return pair(v, v, G)
 
 
 def omega_eis_sq(N: int, gram_matrix: GramMatrix | None = None) -> SymbolicReal:
@@ -289,16 +314,13 @@ def omega_eis_sq(N: int, gram_matrix: GramMatrix | None = None) -> SymbolicReal:
     cross term <(2g-2) DINF, W-hat> vanishes by the normalization of W-hat,
     which is why the decomposition squares term by term.
     """
-    inv = invariants(N)
-    _require_nondegenerate(inv)
-    G = gram_matrix if gram_matrix is not None else gram(N)
-    g = inv.genus
-    closed = Fraction(576 * (g - 1) ** 2, inv.psi) * KAPPA
-    for p in inv.primes:
-        closed = closed + Fraction(-((g - 1) ** 2), _fiber_denominator(inv, p)) * LOG(p)
-    v = omega_eis_vector(N, G)
-    if pair(v, v, G) != closed:
-        raise AssertionError(f"omega_Eis^2 closed formula disagrees with the pairing at N={N}")
+    return _omega_sq(*_level_and_gram(N, gram_matrix))
+
+
+def _omega_sq(inv: Gamma0Data, G: GramMatrix) -> SymbolicReal:
+    closed = Fraction(576 * (inv.genus - 1) ** 2, inv.psi) * KAPPA + _fiber_log_sum(inv)
+    if _omega_pairing(inv, G) != closed:
+        raise AssertionError(f"omega_Eis^2 closed formula disagrees with the pairing at N={inv.N}")
     return closed
 
 
@@ -310,19 +332,19 @@ def x_hat_infinity(N: int, p: int) -> EisVector:
 
         X-hat_p^infty = log(p) F + (1/2) G(p).
     """
-    basis = EisBasis.for_level(N)
-    coords: list = [0] * basis.dimension
-    coords[0] = LOG(p)
-    coords[basis.index(f"G({p})")] = Fraction(1, 2)
-    return EisVector(basis, coords)
+    return _x_hat(N, p, 1)
 
 
 def x_hat_zero(N: int, p: int) -> EisVector:
     """X-hat_p^0 = log(p) F - (1/2) G(p); see x_hat_infinity."""
+    return _x_hat(N, p, -1)
+
+
+def _x_hat(N: int, p: int, sign: int) -> EisVector:
     basis = EisBasis.for_level(N)
     coords: list = [0] * basis.dimension
     coords[0] = LOG(p)
-    coords[basis.index(f"G({p})")] = Fraction(-1, 2)
+    coords[basis.index(f"G({p})")] = Fraction(sign, 2)
     return EisVector(basis, coords)
 
 
@@ -331,47 +353,40 @@ def dinf_gp_discrepancy(N: int) -> dict:
 
     Returns, per prime p | N, the entry forced by the bad-fiber computation
     (LOG(p)) next to the entry the orthogonal-sum notation would force (0).
-    All quantities computed by this module are identical under both; the
-    test suite asserts that.
+    The two ``affects_*`` flags compare results under the two Gram matrices
+    at N: the pairing of omega-hat_Eis with itself (None where genus < 1 or
+    a fiber denominator vanishes), and the self-adjointness of T-hat_l for
+    the least prime l not dividing N.
     """
+    from .hecke import is_self_adjoint, t_hat  # hecke imports this module
+
     inv = invariants(N)
+    grams = (_gram(inv, "log"), _gram(inv, "zero"))
+    try:
+        _require_nondegenerate(inv)
+    except DegenerateGenus:
+        affects_omega = None
+    else:
+        log_sq, zero_sq = (_omega_pairing(inv, G) for G in grams)
+        affects_omega = log_sq != zero_sq
+    op = t_hat(next(l for l in count(2) if N % l and is_prime(l)), N)
     return {
         "N": N,
         "entries": {
             f"G({p})": {"from_fiber_intersections": f"LOG({p})", "from_orthogonality": "0"}
             for p in inv.primes
         },
-        "affects_omega_eis_sq": False,
-        "affects_self_adjointness": False,
-    }
-
-
-def green_normalization_metadata(N: int) -> dict:
-    """Metadata record for the cusp Green function's additive normalization.
-
-    The constant a(g) fixes the additive normalization of the Green
-    function underlying DINF.  It never enters the Gram matrix (the DINF
-    self-intersection comes from the weight-12 metrized-bundle calculation
-    directly), so it is recorded here as metadata only.  The two displayed
-    values, a(g_inf) = -12 log 2 / psi(N)^2 against
-    a(-log ||Delta||^2) = -12 log 2 / psi(N), differ by a factor psi(N);
-    the discrepancy is surfaced rather than resolved since no computed
-    quantity depends on it.
-    """
-    psi = invariants(N).psi
-    return {
-        "N": N,
-        "a_g_inf": {"coefficient_of_log2": f"-12/{psi * psi}"},
-        "a_delta_metric": {"coefficient_of_log2": f"-12/{psi}"},
-        "consistent": psi == 1,
-        "enters_gram_matrix": False,
+        "affects_omega_eis_sq": affects_omega,
+        "affects_self_adjointness": is_self_adjoint(op, grams[0]) != is_self_adjoint(op, grams[1]),
     }
 
 
 def omega_eis_report(N: int, precision: int = 10, dinf_pairing: str = "log") -> dict:
     """JSON-ready report with symbolic and numeric renderings of omega_Eis^2."""
     inv = invariants(N)
-    value = omega_eis_sq(N, gram(N, dinf_pairing))
+    G = _gram(inv, dinf_pairing)
+    _require_nondegenerate(inv)
+    value = _omega_sq(inv, G)
     return {
         "N": N,
         "genus": inv.genus,

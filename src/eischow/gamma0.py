@@ -2,17 +2,17 @@
 
 The whole package parameterizes its formulas by the index psi(N), the
 elliptic-point counts nu2, nu3, the cusp count, and the genus of X_0(N).
-Everything here is exact integer arithmetic.
+Everything here is exact integer arithmetic, and this module is the only
+place in the package that decides primality or factors an integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NonSquarefree, NotADivisor
 
-__all__ = ["Gamma0Data", "invariants", "genus_quotient", "squarefree_factorization"]
+__all__ = ["Gamma0Data", "invariants", "genus_quotient", "is_prime", "squarefree_factorization"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,26 @@ class Gamma0Data:
     cusps: int
     genus: int
 
+    def quotient(self, p: int) -> "Gamma0Data":
+        """Invariants of Gamma_0(N/p) for a prime p | N, read off the prime tuple."""
+        if p not in self.primes:
+            raise NotADivisor(f"{p} is not a prime divisor of {self.N}")
+        return _from_primes(self.N // p, tuple(q for q in self.primes if q != p))
+
+
+def _least_divisor(n: int, d: int = 2) -> int:
+    # least divisor >= d of n > 1, for d = 2 or odd d; n itself when none is <= sqrt n
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d = 3 if d == 2 else d + 2
+    return n
+
+
+def is_prime(n: int) -> bool:
+    """True when the integer n is prime (trial division by 2 and odd d <= sqrt n)."""
+    return n >= 2 and _least_divisor(n) == n
+
 
 def squarefree_factorization(N: int) -> tuple[int, ...]:
     """Return the prime divisors of N, raising NonSquarefree on a square factor."""
@@ -40,15 +60,12 @@ def squarefree_factorization(N: int) -> tuple[int, ...]:
     primes = []
     n = N
     p = 2
-    while p * p <= n:
+    while n > 1:
+        p = _least_divisor(n, p)
+        n //= p
         if n % p == 0:
-            n //= p
-            if n % p == 0:
-                raise NonSquarefree(f"{N} is divisible by {p}^2")
-            primes.append(p)
-        p += 1
-    if n > 1:
-        primes.append(n)
+            raise NonSquarefree(f"{N} is divisible by {p}^2")
+        primes.append(p)
     return tuple(primes)
 
 
@@ -77,7 +94,10 @@ def invariants(N: int) -> Gamma0Data:
 
     which is always an integer.
     """
-    primes = squarefree_factorization(N)
+    return _from_primes(N, squarefree_factorization(N))
+
+
+def _from_primes(N: int, primes: tuple[int, ...]) -> Gamma0Data:
     psi = 1
     nu2 = 1
     nu3 = 1
@@ -86,23 +106,14 @@ def invariants(N: int) -> Gamma0Data:
         nu2 *= _nu2_factor(p)
         nu3 *= _nu3_factor(p)
     cusps = 2 ** len(primes)
-    g = (
-        Fraction(1)
-        + Fraction(psi, 12)
-        - Fraction(nu2, 4)
-        - Fraction(nu3, 3)
-        - Fraction(cusps, 2)
-    )
-    if g.denominator != 1:
-        raise AssertionError(f"genus formula gave non-integer {g} at N={N}")
+    twelve_g = 12 + psi - 3 * nu2 - 4 * nu3 - 6 * cusps
+    if twelve_g % 12:
+        raise AssertionError(f"genus formula gave non-integer {twelve_g}/12 at N={N}")
     return Gamma0Data(
-        N=N, primes=primes, psi=psi, nu2=nu2, nu3=nu3, cusps=cusps, genus=int(g)
+        N=N, primes=primes, psi=psi, nu2=nu2, nu3=nu3, cusps=cusps, genus=twelve_g // 12
     )
 
 
 def genus_quotient(N: int, p: int) -> int:
     """Genus of X_0(N/p) for a prime p dividing the squarefree level N."""
-    primes = squarefree_factorization(N)
-    if p not in primes:
-        raise NotADivisor(f"{p} is not a prime divisor of {N}")
-    return invariants(N // p).genus
+    return invariants(N).quotient(p).genus

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import BadHeckePrime, BadInvolutionParam, BasisMismatch, OutsideDomain
 from .eis import EisBasis, EisVector, GramMatrix
-from .gamma0 import invariants
+from .gamma0 import Gamma0Data, invariants, is_prime
 from .symbolic import LOG, SymbolicReal, linear_product
 
 __all__ = [
@@ -33,21 +33,6 @@ __all__ = [
     "is_self_adjoint",
     "commutator_is_zero",
 ]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _coerce(c) -> SymbolicReal:
-    return c if isinstance(c, SymbolicReal) else SymbolicReal.rational(Fraction(c))
 
 
 @dataclass(frozen=True)
@@ -127,14 +112,7 @@ class EisOperator:
 
 
 def _columns_from_map(basis: EisBasis, images: dict) -> tuple:
-    cols = []
-    for lab in basis.labels:
-        img = images.get(lab)
-        if img is None:
-            cols.append(None)
-        else:
-            cols.append(tuple(_coerce(c) for c in img.coords))
-    return tuple(cols)
+    return tuple(None if images.get(lab) is None else images[lab].coords for lab in basis.labels)
 
 
 def identity_operator(basis: EisBasis) -> EisOperator:
@@ -149,22 +127,21 @@ def identity_operator(basis: EisBasis) -> EisOperator:
 def t_hat(l: int, N: int) -> EisOperator:
     """The Hecke operator T-hat_l on the Eisenstein space of level N."""
     inv = invariants(N)
-    if not _is_prime(l) or N % l == 0:
-        raise BadHeckePrime(f"l = {l} must be a prime not dividing N = {N}")
+    shift = _shift(l, inv)
     basis = EisBasis(N=N, primes=inv.primes)
     images = {lab: (l + 1) * EisVector.unit(basis, lab) for lab in basis.labels}
-    shift = Fraction(12 * (l - 1), inv.psi) * LOG(l)
-    dinf_coords = list(images["DINF"].coords)
-    dinf_coords[0] = shift
-    images["DINF"] = EisVector(basis, dinf_coords)
+    images["DINF"] = EisVector(basis, (shift, l + 1) + (0,) * len(inv.primes))
     return EisOperator(basis=basis, columns=_columns_from_map(basis, images))
 
 
 def hecke_shift(l: int, N: int) -> SymbolicReal:
     """The constant c_{N,l} = (12(l-1)/psi(N)) log l appearing in T-hat_l DINF."""
-    inv = invariants(N)
-    if not _is_prime(l) or N % l == 0:
-        raise BadHeckePrime(f"l = {l} must be a prime not dividing N = {N}")
+    return _shift(l, invariants(N))
+
+
+def _shift(l: int, inv: Gamma0Data) -> SymbolicReal:
+    if not is_prime(l) or inv.N % l == 0:
+        raise BadHeckePrime(f"l = {l} must be a prime not dividing N = {inv.N}")
     return Fraction(12 * (l - 1), inv.psi) * LOG(l)
 
 

@@ -43,7 +43,8 @@ from .errors import (
     QuadratureNotConverged,
     WrongSign,
 )
-from .qexp import QExpansion, _is_prime
+from .gamma0 import is_prime
+from .qexp import QExpansion
 
 __all__ = [
     "EigenformData",
@@ -99,7 +100,7 @@ class EigenformData:
 def _validate(label, level, weight, al_sign, an):
     if weight != 2:
         raise ParseError(f"only weight 2 is supported, got {weight}")
-    if not _is_prime(level):
+    if not is_prime(level):
         raise ParseError(f"level {level} is not prime")
     if math.gcd(level, 6) != 1:
         raise LevelNotCoprimeTo6(f"gcd({level}, 6) != 1")
@@ -112,10 +113,9 @@ def _validate(label, level, weight, al_sign, an):
     def a(n):
         return an[n - 1]
 
+    primes = [p for p in range(2, m + 1) if is_prime(p)]
     # full multiplicativity check within precision
-    for p in range(2, m + 1):
-        if not _is_prime(p):
-            continue
+    for p in primes:
         for n in range(2, m // p + 1):
             if n % p == 0:
                 continue
@@ -124,9 +124,7 @@ def _validate(label, level, weight, al_sign, an):
                     f"multiplicativity fails at n = {p * n}", index=p * n
                 )
     # Hecke recursion at prime powers
-    for p in range(2, m + 1):
-        if not _is_prime(p):
-            continue
+    for p in primes:
         k = 2
         while p ** k <= m:
             n = p ** k
@@ -173,8 +171,12 @@ def ingest(path, label: str | None = None) -> EigenformData:
         if key not in obj:
             raise ParseError(f"line {lineno}: missing field {key!r}")
     an = obj["an"]
-    if not isinstance(an, list) or not all(isinstance(x, int) for x in an):
+    # JSON true/false load as bool, a subclass of int: compare types exactly
+    if not isinstance(an, list) or not all(type(x) is int for x in an):
         raise ParseError(f"line {lineno}: 'an' must be a list of integers")
+    for key in ("level", "weight", "al_sign"):
+        if type(obj[key]) is not int:
+            raise ParseError(f"line {lineno}: {key!r} must be an integer, got {obj[key]!r}")
     _validate(obj["label"], obj["level"], obj["weight"], obj["al_sign"], an)
     return EigenformData(
         label=str(obj["label"]),
@@ -412,7 +414,7 @@ def petersson(f: EigenformData, quad_order: int = 48, y_main: float = 8.0,
     """
     if all(a == 0 for a in f.an):
         return 0.0
-    if not _is_prime(f.level):
+    if not is_prime(f.level):
         raise ValueError("the coset construction is implemented for prime level only")
     coarse = _petersson_once(f, quad_order // 2, y_main, y_factor)
     fine = _petersson_once(f, quad_order, y_main, y_factor)

@@ -19,7 +19,7 @@ from .errors import (
     LevelNotCoprimeTo6,
     PrecisionTooSmall,
 )
-from .gamma0 import invariants, squarefree_factorization
+from .gamma0 import invariants, is_prime, squarefree_factorization
 
 __all__ = [
     "QExpansion",
@@ -31,17 +31,6 @@ __all__ = [
     "CanonicalDecomposition",
     "canonical_decomposition",
 ]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -196,7 +185,7 @@ def hecke_q(l: int, f: QExpansion) -> QExpansion:
     Valid up to precision floor(M / l); requires l prime with l not
     dividing the level.
     """
-    if not _is_prime(l) or f.level % l == 0:
+    if not is_prime(l) or f.level % l == 0:
         raise BadHeckePrime(f"l = {l} must be a prime not dividing the level {f.level}")
     mp = f.precision // l
     if mp < 1:
@@ -229,9 +218,6 @@ class HeegnerDivisor:
     def count(self) -> int:
         return len(self.roots)
 
-    def degree(self) -> Fraction:
-        return self.weight_per_point * self.count - self.weight_per_point * self.count
-
     def to_json_obj(self) -> dict:
         return {
             "level": self.level,
@@ -250,6 +236,11 @@ def heegner_points(N: int, disc: int) -> HeegnerDivisor:
     coprime to 6.
     """
     squarefree_factorization(N)
+    return _heegner_points(N, disc)
+
+
+def _heegner_points(N: int, disc: int) -> HeegnerDivisor:
+    # N is already known to be squarefree
     if math.gcd(N, 6) != 1:
         raise LevelNotCoprimeTo6(f"gcd({N}, 6) != 1")
     if disc not in (-3, -4):
@@ -287,6 +278,6 @@ def canonical_decomposition(N: int) -> CanonicalDecomposition:
     return CanonicalDecomposition(
         N=N,
         mult_infty=2 * inv.genus - 2,
-        h_i=heegner_points(N, -4),
-        h_j=heegner_points(N, -3),
+        h_i=_heegner_points(N, -4),
+        h_j=_heegner_points(N, -3),
     )

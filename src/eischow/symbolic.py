@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import zetavalues
+from .gamma0 import is_prime
 
 __all__ = ["SymbolicReal", "ONE", "KAPPA", "LOG", "linear_product"]
 
@@ -26,42 +27,46 @@ _ONE_KEY = "ONE"
 _KAPPA_KEY = "KAPPA"
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def _is_symbol(sym: str) -> bool:
+    # the one place a LOG(p) symbol's primality is tested
+    if sym in (_ONE_KEY, _KAPPA_KEY):
+        return True
+    body = sym[4:-1]
+    return sym.startswith("LOG(") and sym.endswith(")") and body.isdigit() and is_prime(int(body))
 
 
-def _symbol_key(sym: str) -> tuple[int, int]:
+def _check_symbol(sym: str) -> str:
+    if not _is_symbol(sym):
+        raise ValueError(f"unknown basis symbol {sym!r}")
+    return sym
+
+
+def _sort_key(sym: str) -> tuple[int, int]:
+    # canonical order ONE, KAPPA, then LOG(p) by p; sym is already checked
     if sym == _ONE_KEY:
         return (0, 0)
     if sym == _KAPPA_KEY:
         return (1, 0)
-    if sym.startswith("LOG(") and sym.endswith(")"):
-        body = sym[4:-1]
-        if body.isdigit() and _is_prime(int(body)):
-            return (2, int(body))
-    raise ValueError(f"unknown basis symbol {sym!r}")
+    return (2, int(sym[4:-1]))
+
+
+def _canonical(terms: dict) -> "SymbolicReal":
+    # build from checked symbols and Fraction coefficients, dropping zeros
+    out = SymbolicReal.__new__(SymbolicReal)
+    out._terms = {sym: q for sym, q in terms.items() if q != 0}
+    return out
 
 
 class SymbolicReal:
-    """A canonical rational linear combination of ONE, KAPPA, LOG(p)."""
+    """A canonical rational linear combination of ONE, KAPPA, LOG(p).
+
+    Symbols are checked where they enter, never again in arithmetic."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        canonical = {}
-        for sym, coeff in (terms or {}).items():
-            _symbol_key(sym)
-            q = Fraction(coeff)
-            if q != 0:
-                canonical[sym] = q
-        self._terms = canonical
+        terms = {_check_symbol(sym): Fraction(c) for sym, c in (terms or {}).items()}
+        self._terms = {sym: q for sym, q in terms.items() if q != 0}
 
     # -- constructors ------------------------------------------------------
 
@@ -72,16 +77,15 @@ class SymbolicReal:
     @staticmethod
     def rational(q) -> "SymbolicReal":
         """The rational number q as a multiple of ONE."""
-        return SymbolicReal({_ONE_KEY: Fraction(q)})
+        return _canonical({_ONE_KEY: Fraction(q)})
 
     # -- canonical access --------------------------------------------------
 
     def coefficient(self, sym: str) -> Fraction:
-        _symbol_key(sym)
-        return self._terms.get(sym, Fraction(0))
+        return self._terms.get(_check_symbol(sym), Fraction(0))
 
     def items(self):
-        return sorted(self._terms.items(), key=lambda kv: _symbol_key(kv[0]))
+        return sorted(self._terms.items(), key=lambda kv: _sort_key(kv[0]))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -101,7 +105,7 @@ class SymbolicReal:
         terms = dict(self._terms)
         for sym, coeff in other._terms.items():
             terms[sym] = terms.get(sym, Fraction(0)) + coeff
-        return SymbolicReal(terms)
+        return _canonical(terms)
 
     def __sub__(self, other):
         if not isinstance(other, SymbolicReal):
@@ -109,12 +113,12 @@ class SymbolicReal:
         return self + (-other)
 
     def __neg__(self):
-        return SymbolicReal({s: -c for s, c in self._terms.items()})
+        return _canonical({s: -c for s, c in self._terms.items()})
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
             q = Fraction(scalar)
-            return SymbolicReal({s: q * c for s, c in self._terms.items()})
+            return _canonical({s: q * c for s, c in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -169,9 +173,9 @@ class SymbolicReal:
                 coeff = Fraction(coeff_str)
             else:
                 sym, coeff = token, Fraction(1)
-            _symbol_key(sym)
+            _check_symbol(sym)
             terms[sym] = terms.get(sym, Fraction(0)) + sign * coeff
-        return SymbolicReal(terms)
+        return _canonical(terms)
 
     def to_json_obj(self) -> dict:
         """JSON object form, e.g. ``{"KAPPA": "288/19", "LOG(37)": "-1/3"}``."""
@@ -216,9 +220,10 @@ KAPPA = SymbolicReal({_KAPPA_KEY: 1})
 
 def LOG(p: int) -> SymbolicReal:
     """The basis symbol log p for a prime p (Hecke primes included)."""
-    if not _is_prime(p):
+    sym = f"LOG({p})"
+    if not _is_symbol(sym):
         raise ValueError(f"LOG expects a prime, got {p}")
-    return SymbolicReal({f"LOG({p})": 1})
+    return _canonical({sym: Fraction(1)})
 
 
 def linear_product(a: SymbolicReal, b: SymbolicReal) -> SymbolicReal:

@@ -12,6 +12,7 @@ the generator cannot silently propagate.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -101,3 +102,26 @@ def f37(eigenform_37_path) -> EigenformData:
 def f11() -> EigenformData:
     q = eta_expand(EtaQuotient(factors=((1, 2), (11, 2))), 400)
     return from_qexpansion(q, label="11a", al_sign=-1)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Replace a package function, wherever a module binds it, by a counting
+    wrapper; returns the list of argument tuples it was called with."""
+
+    def install(fn):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if mod is None or not (name == "eischow" or name.startswith("eischow.")):
+                continue
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+        return calls
+
+    return install

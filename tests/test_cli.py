@@ -120,6 +120,33 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert json.loads(out)["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("level", "37"), ("level", 37.0), ("weight", True), ("al_sign", "1"), ("an", [1, True])],
+)
+def test_omega_f_rejects_non_integer_fields(capsys, tmp_path, field, value):
+    record = {"label": "x", "level": 37, "weight": 2, "al_sign": 1, "an": [1, -2, -3]}
+    record[field] = value
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    code, out, _ = run_capture(capsys, ["omega-f", "--eigenform", str(path), "--format", "json"])
+    assert code == 1
+    assert json.loads(out)["error"] == "ParseError"
+
+
+def test_gram_table(capsys):
+    code, out, _ = run_capture(capsys, ["gram", "35"])
+    assert code == 0
+    assert out == (
+        "Gram matrix at N=35 (convention: log)\n"
+        "                 F        DINF        G(5)        G(7)\n"
+        "     F           0     1/2*ONE           0           0\n"
+        "  DINF     1/2*ONE     3*KAPPA      LOG(5)      LOG(7)\n"
+        "  G(5)           0      LOG(5)  -16*LOG(5)           0\n"
+        "  G(7)           0      LOG(7)           0  -16*LOG(7)\n"
+    )
+
+
 def test_table_format_default(capsys):
     code, out, _ = run_capture(capsys, ["invariants", "37"])
     assert code == 0

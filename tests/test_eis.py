@@ -91,6 +91,14 @@ def test_w_vector_examples():
     assert w37.coordinate("F") == Fraction(1, 3) * LOG(37)
 
 
+@pytest.mark.parametrize("fn", [w_vector, w_square, omega_eis_vector, omega_eis_sq])
+def test_gram_matrix_of_another_level_rejected(fn):
+    with pytest.raises(BasisMismatch):
+        fn(37, gram(43))
+    with pytest.raises(BasisMismatch):
+        fn(35, gram(37, "zero"))
+
+
 def test_w_vector_zero_convention_also_normalized():
     g = gram(37, "zero")
     w = w_vector(37, g)
@@ -162,14 +170,6 @@ def test_discrepancy_diagnostic():
     assert d["entries"]["G(5)"]["from_fiber_intersections"] == "LOG(5)"
     assert d["entries"]["G(5)"]["from_orthogonality"] == "0"
     assert d["affects_omega_eis_sq"] is False
-
-
-def test_green_normalization_metadata():
-    from eischow.eis import green_normalization_metadata
-
-    meta = green_normalization_metadata(37)
-    assert meta["enters_gram_matrix"] is False
-    assert meta["a_g_inf"] == {"coefficient_of_log2": "-12/1444"}
-    assert meta["a_delta_metric"] == {"coefficient_of_log2": "-12/38"}
-    assert meta["consistent"] is False
-    assert green_normalization_metadata(1)["consistent"] is True
+    assert d["affects_self_adjointness"] is False
+    # genus 0: omega_Eis^2 is undefined, so there is nothing to compare
+    assert dinf_gp_discrepancy(10)["affects_omega_eis_sq"] is None

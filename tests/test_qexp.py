@@ -144,8 +144,6 @@ def test_canonical_decomposition_37():
     assert cd.mult_infty == 2
     assert cd.h_i.count == 2
     assert cd.h_j.count == 2
-    assert cd.h_i.degree() == 0
-    assert cd.h_j.degree() == 0
 
 
 def test_canonical_decomposition_empty_case():
