@@ -30,13 +30,15 @@ grid = DiscGrid.gauss(128, 256)
 bump = DiscFunction.sample(cf_one_minus_abs2(), grid)   # 1 - |z|^2
 abs2 = DiscFunction.sample(cf_abs2(), grid)             # |z|^2
 
+# seminorm1 returns the value (lhs) against its half-resolution value (rhs);
+# the residual between them is the refinement estimate
 s = seminorm1(bump)
-print(f"||1-|z|^2||_1^2 = {s.value:.12f}   (pi = {math.pi:.12f},"
-      f" refinement estimate {s.refinement_estimate:.1e})")
+print(f"||1-|z|^2||_1^2 = {s.lhs:.12f}   (pi = {math.pi:.12f},"
+      f" refinement estimate {s.residual:.1e})")
 
 for n in (2, 3):
-    lifted = seminorm1(pullback_pow(bump, n)).value
-    print(f"pull-back along z^{n} multiplies the seminorm by {lifted / s.value:.9f}")
+    lifted = seminorm1(pullback_pow(bump, n)).lhs
+    print(f"pull-back along z^{n} multiplies the seminorm by {lifted / s.lhs:.9f}")
 
 push = pushforward_pow(abs2, 2)
 err = abs(push.values - 2.0 * abs(grid.nodes)).max()

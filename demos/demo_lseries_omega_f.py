@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 from eischow import ingest, omega_f_sq
-from eischow.lseries import l_values, lambda_symmetry_residual
+from eischow.lseries import lambda_symmetry_residual
 
 COUNT = 1200
 
@@ -71,14 +71,12 @@ print(f"ingested {f.label}: level {f.level}, {f.precision} coefficients,"
 for t in (0.05, 0.1):
     print(f"Lambda symmetry residual at t={t}: {lambda_symmetry_residual(f, t):.2e}")
 
-vals = l_values(f)
-print(f"\nL(f,1)          = {vals.l1}")
-print(f"L'(f,1)         = {vals.l1prime:.12f}")
-print(f"L(f,chi_-4,1)   = {vals.l_chi_m4:.12f}")
-print(f"L(f,chi_-3,1)   = {vals.l_chi_m3:.12f}")
-print(f"(f,f) Petersson = {vals.petersson:.12f}")
-print(f"reported bound  = {vals.err_bound:.2e}")
-
+# omega_f_sq reports every special value it consumes.  L(f,1) itself is 0
+# by the functional equation (sign -1), which is why L'(f,1) enters.
 res = omega_f_sq(f)
+print(f"\nL'(f,1)         = {res.l_prime:.12f}")
+print(f"L(f,chi_-4,1)   = {res.l_chi4:.12f}")
+print(f"L(f,chi_-3,1)   = {res.l_chi3:.12f}")
+print(f"(f,f) Petersson = {res.petersson:.12f}")
 print(f"\nheights: h_i = {res.h_i:.9f}, h_j = {res.h_j:.9f}")
 print(f"omega_f^2 = -(sqrt(h_i) + 2 sqrt(h_j))^2 = {res.omega_f_sq:.9f}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import disc, eis, hecke, lseries
@@ -21,7 +22,21 @@ __all__ = ["main", "run"]
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _emit(obj, fmt: str, table_lines) -> None:
@@ -172,8 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if positional_n:
             p.add_argument("N", type=int, help="level (squarefree)")
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--precision", type=int, default=8, help="decimal digits")
-        p.add_argument("--tolerance", type=float, default=1e-6)
 
     p = sub.add_parser("invariants", help="Gamma_0(N) invariants")
     add_common(p)
@@ -181,6 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p = sub.add_parser("omega-eis", help="self-intersection of the Eisenstein part")
     add_common(p)
+    p.add_argument("--precision", type=_positive_int, default=8, help="decimal digits")
     p = sub.add_parser("hecke", help="Hecke operator T-hat_l or involution w-hat_d")
     add_common(p)
     group = p.add_mutually_exclusive_group(required=True)
@@ -192,9 +206,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega-f", help="isotypical invariant omega_f^2 from a dataset")
     add_common(p, positional_n=False)
     p.add_argument("--eigenform", required=True, help="JSON-lines eigenform file")
-    p.set_defaults(tolerance=1e-9)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-9)
     p = sub.add_parser("verify-analysis", help="run the disc-identity regression gate")
     add_common(p, positional_n=False)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-6)
     return parser
 
 
@@ -215,6 +230,7 @@ def run(argv=None) -> int:
     command, table = _DISPATCH[args.command]
     try:
         obj = command(args)
+        _emit(obj, args.format, table)
     except (EischowError, ValueError, OSError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         if args.format == "json":
@@ -222,7 +238,6 @@ def run(argv=None) -> int:
         else:
             print(f"error[{err['error']}]: {err['message']}", file=sys.stderr)
         return 1
-    _emit(obj, args.format, table)
     if args.command == "verify-analysis" and not obj["passed"]:
         return 1
     return 0

@@ -40,13 +40,11 @@ __all__ = [
     "ClosedForm",
     "DiscGrid",
     "DiscFunction",
-    "SeminormResult",
+    "Check",
     "seminorm1",
     "dirichlet_pairing",
     "pullback_pow",
     "pushforward_pow",
-    "CheckResult",
-    "HardyResult",
     "check_dbar_equality",
     "check_hardy",
     "check_adjoint",
@@ -99,6 +97,7 @@ class DiscGrid:
             self._validate_exactness(exact_degree)
         self.angles = 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
         self.nodes = self.radial_nodes[:, None] * np.exp(1j * self.angles)[None, :]
+        self._coarse = None
 
     def _validate_exactness(self, degree):
         for k in (0, 1, 2, 3, 7, degree // 2, degree):
@@ -119,10 +118,16 @@ class DiscGrid:
         return complex(np.sum(self.radial_weights * self.radial_nodes * row))
 
     def coarsened(self) -> "DiscGrid":
-        """Half-resolution companion grid used for refinement estimates."""
-        q = max(4, len(self.radial_nodes) // 2)
-        k = max(8, self.angular_count // 2)
-        return DiscGrid.gauss(q, k)
+        """Half-resolution companion grid used for refinement estimates.
+
+        Built on first use and kept by this grid, so every refinement
+        estimate against the same grid shares one companion.
+        """
+        if self._coarse is None:
+            q = max(4, len(self.radial_nodes) // 2)
+            k = max(8, self.angular_count // 2)
+            self._coarse = DiscGrid.gauss(q, k)
+        return self._coarse
 
 
 class DiscFunction:
@@ -199,16 +204,41 @@ def _require_boundary_vanishing(f: DiscFunction, tol: float):
 
 
 @dataclass(frozen=True)
-class SeminormResult:
-    value: float
-    refinement_estimate: float
+class Check:
+    """One checked quantity: its two sides and the residual between them.
+
+    Equalities carry |lhs - rhs|; an inequality lhs <= rhs carries the
+    one-sided excess max(0, lhs - rhs).  A check passes at tolerance tol
+    when residual <= tol.
+    """
+
+    lhs: complex
+    rhs: complex
+    residual: float
+
+    @staticmethod
+    def equality(lhs, rhs) -> "Check":
+        return Check(lhs=lhs, rhs=rhs, residual=abs(lhs - rhs))
+
+    def entry(self, name: str, tol: float) -> dict:
+        """The check as one JSON-ready line of the verification report."""
+        lhs, rhs = complex(self.lhs), complex(self.rhs)
+        return {
+            "name": name,
+            "lhs": {"re": lhs.real, "im": lhs.imag},
+            "rhs": {"re": rhs.real, "im": rhs.imag},
+            "residual": self.residual,
+            "tolerance": tol,
+            "passed": self.residual <= tol,
+        }
 
 
-def seminorm1(f: DiscFunction, tol: float = DEFAULT_TOL) -> SeminormResult:
+def seminorm1(f: DiscFunction, tol: float = DEFAULT_TOL) -> Check:
     """The Dirichlet seminorm ||f||_1^2 = i int df ^ conj(df) = 2 int |f_z|^2 dA.
 
-    The refinement estimate compares against a half-resolution grid (exact
-    resampling for closed forms, angular subsampling otherwise); raises
+    Returns the value as ``lhs`` against its half-resolution value as
+    ``rhs`` (exact resampling for closed forms, angular subsampling
+    otherwise), so ``residual`` is the refinement estimate; raises
     GridTooCoarse when the estimate exceeds tol.
     """
     value = 2.0 * f.grid.integrate(np.abs(f.dz_values()) ** 2).real
@@ -220,10 +250,10 @@ def seminorm1(f: DiscFunction, tol: float = DEFAULT_TOL) -> SeminormResult:
             _angular_subgrid(f.grid), f.values[:, ::2], None
         )
         coarse = 2.0 * sub.grid.integrate(np.abs(sub.dz_values()) ** 2).real
-    estimate = abs(value - coarse)
-    if estimate > tol:
-        raise GridTooCoarse(f"refinement estimate {estimate:.3e} > {tol:g}")
-    return SeminormResult(value=value, refinement_estimate=estimate)
+    result = Check.equality(value, coarse)
+    if result.residual > tol:
+        raise GridTooCoarse(f"refinement estimate {result.residual:.3e} > {tol:g}")
+    return result
 
 
 def _angular_subgrid(grid: DiscGrid) -> DiscGrid:
@@ -330,41 +360,23 @@ def pushforward_pow(g: DiscFunction, n: int) -> DiscFunction:
     return DiscFunction(new_grid, values)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    lhs: complex
-    rhs: complex
-
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-@dataclass(frozen=True)
-class HardyResult:
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def check_dbar_equality(f: DiscFunction, tol: float = DEFAULT_TOL,
-                        boundary_tol: float = 1e-9) -> CheckResult:
+def check_dbar_equality(f: DiscFunction, boundary_tol: float = 1e-9) -> Check:
     """int |f_z|^2 versus int |f_zbar|^2 for f vanishing on the boundary."""
     _require_boundary_vanishing(f, boundary_tol)
     lhs = 2.0 * f.grid.integrate(np.abs(f.dz_values()) ** 2).real
     rhs = 2.0 * f.grid.integrate(np.abs(f.dzbar_values()) ** 2).real
-    return CheckResult(lhs=lhs, rhs=rhs)
+    return Check.equality(lhs, rhs)
 
 
 def check_hardy(f: DiscFunction, delta: float, tol: float = DEFAULT_TOL,
-                boundary_tol: float = 1e-9) -> HardyResult:
+                boundary_tol: float = 1e-9) -> Check:
     """Weighted Poincare inequality with the explicit constant (4/delta)^2.
 
     lhs = i int |f|^2 / |z|^{2-delta} dz^dzbar, integrated after the
     singularity-absorbing substitution r = u^(1/delta) (which turns
     r^{delta-1} dr into du/delta, keeping nodes off the singularity);
-    rhs = (4/delta)^2 i int |f_z|^2 dz^dzbar.  Requires a closed form for
-    the resampled radii.
+    rhs = (4/delta)^2 i int |f_z|^2 dz^dzbar; the residual is the excess
+    max(0, lhs - rhs).  Requires a closed form for the resampled radii.
     """
     if not 0.0 < delta < 2.0:
         raise ValueError("delta must lie in (0, 2)")
@@ -383,18 +395,18 @@ def check_hardy(f: DiscFunction, delta: float, tol: float = DEFAULT_TOL,
     if abs(lhs - weighted_integral(f.grid.coarsened())) > max(tol, 1e-12 * abs(lhs)):
         raise QuadratureNotConverged("weighted integral not converged on this grid")
     rhs = (4.0 / delta) ** 2 * 2.0 * f.grid.integrate(np.abs(f.dz_values()) ** 2).real
-    return HardyResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
+    return Check(lhs=lhs, rhs=rhs, residual=max(0.0, lhs - rhs))
 
 
-def check_adjoint(f: DiscFunction, g: DiscFunction, n: int) -> CheckResult:
+def check_adjoint(f: DiscFunction, g: DiscFunction, n: int) -> Check:
     """(phi^* f, g)_{1,D} versus (f, phi_* g)_{1,D} for phi(z) = z^n."""
     lhs = dirichlet_pairing(pullback_pow(f, n), g)
     rhs = dirichlet_pairing(f, pushforward_pow(g, n))
-    return CheckResult(lhs=lhs, rhs=rhs)
+    return Check.equality(lhs, rhs)
 
 
 def check_ibp(f: DiscFunction, g: DiscFunction,
-              boundary_tol: float = 1e-9) -> CheckResult:
+              boundary_tol: float = 1e-9) -> Check:
     """2 pi int f dd^c conj(g) versus -(f, g)_1 for boundary-vanishing f.
 
     With dd^c = (i/2pi) d dbar the left side is i int f conj(g_zbar_z)
@@ -406,7 +418,7 @@ def check_ibp(f: DiscFunction, g: DiscFunction,
     mixed = np.conj(g.closed_form.dzdzbar(f.grid.nodes))
     lhs = 2.0 * f.grid.integrate(f.values * mixed)
     rhs = -dirichlet_pairing(f, g.on_grid(f.grid))
-    return CheckResult(lhs=lhs, rhs=rhs)
+    return Check.equality(lhs, rhs)
 
 
 # -- canned closed forms and the certified report ---------------------------
@@ -462,19 +474,6 @@ def cf_re() -> ClosedForm:
     )
 
 
-def _entry(name, lhs, rhs, tol):
-    lhs_c, rhs_c = complex(lhs), complex(rhs)
-    residual = abs(lhs_c - rhs_c)
-    return {
-        "name": name,
-        "lhs": {"re": lhs_c.real, "im": lhs_c.imag},
-        "rhs": {"re": rhs_c.real, "im": rhs_c.imag},
-        "residual": residual,
-        "tolerance": tol,
-        "passed": residual <= tol,
-    }
-
-
 def verification_report(radial: int = DEFAULT_RADIAL, angular: int = DEFAULT_ANGULAR,
                         tol: float = DEFAULT_TOL) -> dict:
     """Run the certified identity suite at the given grid and tolerance.
@@ -491,77 +490,58 @@ def verification_report(radial: int = DEFAULT_RADIAL, angular: int = DEFAULT_ANG
     harmonic = DiscFunction.sample(cf_re(), grid)
     checks = []
 
-    s_bump = seminorm1(bump, tol)
-    checks.append(_entry("seminorm1(1-|z|^2) = pi", s_bump.value, math.pi, tol))
-    checks.append(_entry("seminorm1(z) = 2 pi", seminorm1(coord, tol).value, 2 * math.pi, tol))
+    def add(name, check):
+        checks.append(check.entry(name, tol))
 
-    for n in (2, 3):
-        lifted = seminorm1(pullback_pow(bump, n), tol).value
-        checks.append(
-            _entry(f"pullback degree identity n={n}", lifted, n * s_bump.value, tol)
-        )
+    s_bump = seminorm1(bump, tol).lhs
+    add("seminorm1(1-|z|^2) = pi", Check.equality(s_bump, math.pi))
+    add("seminorm1(z) = 2 pi", Check.equality(seminorm1(coord, tol).lhs, 2 * math.pi))
+
+    def pulled_back(n):
+        # both quantities of one lift at once: one lifted function is alive at a time
+        pulled = pullback_pow(bump, n)
+        return n, seminorm1(pulled, tol).lhs, dirichlet_pairing(pulled, pulled)
+
+    lifted = [pulled_back(n) for n in (2, 3)]
+    for n, seminorm, _ in lifted:
+        add(f"pullback degree identity n={n}", Check.equality(seminorm, n * s_bump))
 
     push = pushforward_pow(abs2, 2)
     target = 2.0 * np.abs(grid.nodes)
-    checks.append(
-        _entry(
-            "pushforward(|z|^2, 2) = 2|w| (max node error)",
-            float(np.max(np.abs(push.values - target))),
-            0.0,
-            tol,
-        )
-    )
+    add("pushforward(|z|^2, 2) = 2|w| (max node error)",
+        Check.equality(float(np.max(np.abs(push.values - target))), 0.0))
     log_cf = ClosedForm(
         value=lambda z: -np.log(np.abs(z) ** 2).astype(complex),
         dz=lambda z: -1.0 / z,
         dzbar=lambda z: -1.0 / np.conj(z),
     )
     push_log = pushforward_pow(DiscFunction.sample(log_cf, grid), 2)
-    checks.append(
-        _entry(
-            "pushforward(-log|z|^2, 2) telescopes (max node error)",
-            float(np.max(np.abs(push_log.values - (-np.log(np.abs(grid.nodes) ** 2))))),
-            0.0,
-            tol,
-        )
-    )
+    add("pushforward(-log|z|^2, 2) telescopes (max node error)",
+        Check.equality(
+            float(np.max(np.abs(push_log.values - (-np.log(np.abs(grid.nodes) ** 2))))), 0.0
+        ))
 
-    for name, fn in (("1-|z|^2", bump), ("z(1-|z|^2)", zbump)):
-        r = check_dbar_equality(fn, tol)
-        checks.append(_entry(f"dbar equality, f={name}", r.lhs, r.rhs, tol))
-    r = check_dbar_equality(zbump, tol)
-    checks.append(_entry("dbar lhs for z(1-|z|^2) = 2 pi/3", r.lhs, 2 * math.pi / 3, tol))
+    add("dbar equality, f=1-|z|^2", check_dbar_equality(bump))
+    dbar_z = check_dbar_equality(zbump)
+    add("dbar equality, f=z(1-|z|^2)", dbar_z)
+    add("dbar lhs for z(1-|z|^2) = 2 pi/3", Check.equality(dbar_z.lhs, 2 * math.pi / 3))
 
-    hardy = check_hardy(bump, 1.0, tol)
-    checks.append(_entry("hardy lhs at delta=1 = 32 pi/15", hardy.lhs, 32 * math.pi / 15, tol))
-    checks.append(_entry("hardy rhs at delta=1 = 16 pi", hardy.rhs, 16 * math.pi, tol))
-    for delta in (0.25, 0.5, 1.0, 1.5):
-        h = check_hardy(bump, delta, tol)
-        checks.append(
-            {
-                "name": f"hardy inequality holds at delta={delta}",
-                "lhs": {"re": h.lhs, "im": 0.0},
-                "rhs": {"re": h.rhs, "im": 0.0},
-                "residual": max(0.0, h.lhs - h.rhs),
-                "tolerance": tol,
-                "passed": h.holds,
-            }
-        )
+    hardy = {delta: check_hardy(bump, delta, tol) for delta in (0.25, 0.5, 1.0, 1.5)}
+    add("hardy lhs at delta=1 = 32 pi/15", Check.equality(hardy[1.0].lhs, 32 * math.pi / 15))
+    add("hardy rhs at delta=1 = 16 pi", Check.equality(hardy[1.0].rhs, 16 * math.pi))
+    for delta, h in hardy.items():
+        add(f"hardy inequality holds at delta={delta}", h)
 
     adj = check_adjoint(abs2, abs2, 2)
-    checks.append(_entry("adjoint lhs (|w|^2,|z|^2,n=2) = 4 pi/3", adj.lhs, 4 * math.pi / 3, tol))
-    checks.append(_entry("adjoint residual (|w|^2,|z|^2,n=2)", adj.lhs, adj.rhs, tol))
-    for n in (2, 3):
-        energy = dirichlet_pairing(pullback_pow(bump, n), pullback_pow(bump, n))
-        checks.append(
-            _entry(f"(phi^*f, phi^*f)_1 = n (f,f)_1, n={n}", energy, n * s_bump.value, tol)
-        )
+    add("adjoint lhs (|w|^2,|z|^2,n=2) = 4 pi/3", Check.equality(adj.lhs, 4 * math.pi / 3))
+    add("adjoint residual (|w|^2,|z|^2,n=2)", adj)
+    for n, _, energy in lifted:
+        add(f"(phi^*f, phi^*f)_1 = n (f,f)_1, n={n}", Check.equality(energy, n * s_bump))
 
     ibp = check_ibp(bump, abs2)
-    checks.append(_entry("ibp f=1-|z|^2, g=|z|^2", ibp.lhs, ibp.rhs, tol))
-    checks.append(_entry("ibp value = pi", ibp.lhs, math.pi, tol))
-    ibp_h = check_ibp(bump, harmonic)
-    checks.append(_entry("ibp harmonic g: both sides 0", ibp_h.lhs, ibp_h.rhs, tol))
+    add("ibp f=1-|z|^2, g=|z|^2", ibp)
+    add("ibp value = pi", Check.equality(ibp.lhs, math.pi))
+    add("ibp harmonic g: both sides 0", check_ibp(bump, harmonic))
 
     return {
         "grid": {"radial": radial, "angular": angular},

@@ -135,6 +135,10 @@ def _validate(label, level, weight, al_sign, an):
             if a(n) != expected:
                 raise InvariantViolation(f"Hecke recursion fails at n = {n}", index=n)
             k += 1
+    # Ramanujan bound |a_p| <= 2 sqrt(p), which every tail bound here assumes
+    for p in primes:
+        if a(p) * a(p) > 4 * p:
+            raise InvariantViolation(f"|a_{p}| exceeds 2 sqrt({p})", index=p)
 
 
 def ingest(path, label: str | None = None) -> EigenformData:
@@ -144,7 +148,8 @@ def ingest(path, label: str | None = None) -> EigenformData:
     with integer entries and "an" listed a_1-first.  With ``label`` given,
     the matching line is selected; otherwise the first line wins.  Raises
     ParseError for schema problems and InvariantViolation (with the failing
-    index) for coefficient data that is not a normalized Hecke eigenform.
+    index) for coefficient data that is not a normalized Hecke eigenform
+    or breaks the bound |a_p| <= 2 sqrt(p).
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -154,8 +159,10 @@ def ingest(path, label: str | None = None) -> EigenformData:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(f"line {lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(f"line {lineno}: expected a JSON object")
             records.append((lineno, obj))
     if not records:
         raise ParseError(f"{path}: no eigenform records found")
@@ -431,51 +438,6 @@ def petersson(f: EigenformData, quad_order: int = 48, y_main: float = 8.0,
     if tail > rtol * abs(fine):
         raise QuadratureNotConverged(f"truncation tail {tail:.3e} too large")
     return fine
-
-
-@dataclass(frozen=True)
-class LValues:
-    """All special values of one form, with the reported error bound.
-
-    ``err_bound`` dominates the certified series tails of every L-value at
-    the coefficient count actually used, plus the Petersson quadrature
-    estimate; successive coefficient truncations move each value by less
-    than the larger of their bounds.
-    """
-
-    l1: float
-    l1prime: float
-    l_chi_m4: float
-    l_chi_m3: float
-    petersson: float
-    err_bound: float
-
-
-def l_values(f: EigenformData, quad_order: int = 48, series_tol: float = 1e-12) -> LValues:
-    """Evaluate every special value the invariant pipeline consumes.
-
-    Defined for functional-equation sign -1 (the derivative evaluator's
-    domain); WrongSign otherwise.
-    """
-    l1prime = l_derivative(f, tol=series_tol)
-    pet_coarse = _petersson_once(f, quad_order // 2, 8.0, 3.0)
-    pet = petersson(f, quad_order=quad_order)
-    m = f.precision
-    bound = max(
-        central_series_tail(f.level, m),
-        central_series_tail(f.level * 16, m),
-        central_series_tail(f.level * 9, m),
-        abs(pet - pet_coarse),
-        series_tol,
-    )
-    return LValues(
-        l1=l_value(f, tol=series_tol),
-        l1prime=l1prime,
-        l_chi_m4=l_value(f, twist=-4, tol=series_tol),
-        l_chi_m3=l_value(f, twist=-3, tol=series_tol),
-        petersson=pet,
-        err_bound=bound,
-    )
 
 
 @dataclass(frozen=True)

@@ -60,23 +60,27 @@ def _ap_37a(p):
     return p + 1 - (cnt + 1)
 
 
-def make_37a_an(count=COEFF_COUNT):
+def extend_an(ap, count, level):
+    """a_1..a_count from the a_p (p <= count) by multiplicativity and the
+    Hecke recursion at prime powers (a_{p^k} = a_p a_{p^(k-1)} at p = level)."""
     a = [0] * (count + 1)
     a[1] = 1
-    primes = _primes_upto(count)
-    ap = {p: _ap_37a(p) for p in primes}
-    for p, expected in FROZEN_37A_AP.items():
-        assert ap[p] == expected, f"point count disagrees with frozen a_{p}"
+    primes = sorted(ap)
     for n in range(2, count + 1):
         p = next(q for q in primes if n % q == 0)
         m = n // p
-        if m % p:
-            a[n] = ap[p] * a[m]
-        elif p == 37:
+        if m % p or p == level:
             a[n] = ap[p] * a[m]
         else:
             a[n] = ap[p] * a[m] - p * a[m // p]
     return a[1:]
+
+
+def make_37a_an(count=COEFF_COUNT):
+    ap = {p: _ap_37a(p) for p in _primes_upto(count)}
+    for p, expected in FROZEN_37A_AP.items():
+        assert ap[p] == expected, f"point count disagrees with frozen a_{p}"
+    return extend_an(ap, count, 37)
 
 
 @pytest.fixture(scope="session")

@@ -226,7 +226,7 @@ def test_criterion_10_disc_certified_checks():
     zbump = DiscFunction.sample(cf_bump_times_z(), grid)
 
     s = seminorm1(bump, tol)
-    assert abs(s.value - math.pi) < tol
+    assert abs(s.lhs - math.pi) < tol
 
     adj = check_adjoint(abs2, abs2, 2)
     assert abs(adj.lhs - 4 * math.pi / 3) < tol
@@ -238,10 +238,10 @@ def test_criterion_10_disc_certified_checks():
     assert abs(hardy.rhs - 16 * math.pi) < tol
 
     for f in (bump, zbump):
-        assert check_dbar_equality(f, tol).residual < tol
+        assert check_dbar_equality(f).residual < tol
 
     for n in (2, 3):
-        assert abs(seminorm1(pullback_pow(bump, n), tol).value - n * s.value) < tol
+        assert abs(seminorm1(pullback_pow(bump, n), tol).lhs - n * s.lhs) < tol
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _passline(10, 60, elapsed, "disc identities certified at the default 256x512 grid")

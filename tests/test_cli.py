@@ -1,10 +1,17 @@
 """CLI contract: output schemas, canonical JSON round-trip, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from eischow.cli import run
+from eischow.gamma0 import is_prime
+
+from conftest import extend_an
 
 
 def run_capture(capsys, argv):
@@ -162,7 +169,155 @@ def test_usage_errors_exit_2():
         ["hecke", "37", "--l", "2", "--d", "5"],
         ["heegner", "37"],
         ["invariants", "x"],
+        # each subcommand takes only the numeric options it reads
+        ["invariants", "37", "--precision", "3"],
+        ["invariants", "37", "--tolerance", "5"],
+        ["gram", "35", "--tolerance", "1e-3"],
+        ["omega-eis", "37", "--tolerance", "1e-3"],
+        ["hecke", "37", "--l", "2", "--precision", "3"],
+        ["heegner", "37", "--disc", "-4", "--tolerance", "1e-3"],
+        ["omega-f", "--eigenform", "x.jsonl", "--precision", "3"],
+        ["verify-analysis", "--precision", "3"],
+        # numeric options must be finite and positive
+        ["omega-eis", "37", "--precision", "0"],
+        ["omega-eis", "37", "--precision", "-1"],
+        ["omega-eis", "37", "--precision", "2.5"],
+        ["verify-analysis", "--tolerance", "nan"],
+        ["verify-analysis", "--tolerance", "inf"],
+        ["verify-analysis", "--tolerance", "0"],
+        ["omega-f", "--eigenform", "x.jsonl", "--tolerance", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
+
+
+def _37a_record(an):
+    return {"label": "37a", "level": 37, "weight": 2, "al_sign": 1, "an": an}
+
+
+def _beyond_bound_an(f37, p, a_p, count=40):
+    """37a coefficients with a_p replaced, extended so that every structural
+    check (normalization, multiplicativity, Hecke recursion) still passes."""
+    ap = {q: f37.a(q) for q in range(2, count + 1) if is_prime(q)}
+    ap[p] = a_p
+    return extend_an(ap, count, 37)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("[" * 100_000, "ParseError"),
+        ("5", "ParseError"),
+        ('"label level weight al_sign an"', "ParseError"),
+        (None, "InvariantViolation"),
+    ],
+    ids=["deep-nesting", "number-line", "string-line", "a2-beyond-bound"],
+)
+def test_omega_f_rejects_malformed_records(capsys, tmp_path, f37, text, error):
+    if text is None:  # a_2 = 10^400 would overflow the float L-series sums
+        text = json.dumps(_37a_record(_beyond_bound_an(f37, 2, 10 ** 400)))
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text + "\n")
+    code, out, _ = run_capture(capsys, ["omega-f", "--eigenform", str(path), "--format", "json"])
+    assert code == 1
+    assert json.loads(out)["error"] == error
+
+
+# -- generated argv and eigenform files ---------------------------------------
+
+NUMBER_TEXT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e400", "1e-300", "x", ""]),
+    st.integers(-3, 15).map(str),
+    st.floats(1e-12, 1e3).map(repr),
+)
+
+
+OWN_OPTION = {
+    "omega-eis": "--precision",
+    "omega-f": "--tolerance",
+    "verify-analysis": "--tolerance",
+}
+
+
+@st.composite
+def eigenform_texts(draw, valid_text, f37):
+    """The valid 37a line, or one mutation of it."""
+    kind = draw(st.sampled_from(["valid", "type_swap", "beyond_bound", "nesting", "truncated"]))
+    if kind == "valid":
+        return valid_text
+    if kind == "type_swap":
+        record = _37a_record(list(f37.an[:40]))
+        field = draw(st.sampled_from([None, "label", "level", "weight", "al_sign", "an"]))
+        value = draw(st.sampled_from(["37", 37.0, True, None, [], {}, -1, 11, [1]]))
+        if field is None:
+            return json.dumps(value)
+        record[field] = value
+        return json.dumps(record)
+    if kind == "beyond_bound":
+        p = draw(st.sampled_from([2, 3, 5, 7, 11, 37]))
+        a_p = draw(st.one_of(st.integers(3, 100), st.just(10 ** 400)))
+        a_p = max(a_p, int(2 * p ** 0.5) + 1) * draw(st.sampled_from([1, -1]))
+        return json.dumps(_37a_record(_beyond_bound_an(f37, p, a_p)))
+    if kind == "nesting":
+        return "[" * draw(st.integers(1, 100_000))
+    return valid_text[: draw(st.integers(0, len(valid_text) - 1))]
+
+
+@st.composite
+def argvs(draw, eigenform_path, valid_text, f37):
+    command = draw(st.sampled_from(
+        ["invariants", "gram", "omega-eis", "hecke", "heegner", "omega-f", "verify-analysis"]
+    ))
+    argv = [command]
+    if command in ("omega-f", "verify-analysis"):
+        if command == "omega-f":
+            eigenform_path.write_text(draw(eigenform_texts(valid_text, f37)) + "\n")
+            argv += ["--eigenform", str(eigenform_path)]
+    else:
+        n = draw(st.integers(-10 ** 6, 10 ** 6))
+        argv.append(str(n))
+        if command == "hecke":
+            flag = draw(st.sampled_from(["--l", "--d"]))
+            argv += [flag, str(draw(st.one_of(st.integers(-10, 1000), st.just(n))))]
+        elif command == "heegner":
+            argv += ["--disc", draw(st.sampled_from(["-3", "-4"]))]
+    # sometimes the subcommand's own numeric option, sometimes one it does not take
+    option = draw(st.sampled_from(
+        [None, None, OWN_OPTION.get(command), "--precision", "--tolerance"]
+    ))
+    if option is not None:
+        argv += [option, draw(NUMBER_TEXT)]
+    return argv + ["--format", "json"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory, eigenform_37_path):
+    return tmp_path_factory.mktemp("fuzz") / "form.jsonl", eigenform_37_path.read_text().strip()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_every_input_ends_in_an_exit_code(fuzz_inputs, f37, data):
+    """Exit 0 with canonical JSON, exit 1 with an error object (or a failed
+    verify-analysis report), or exit 2 from argparse; nothing else escapes."""
+    path, valid_text = fuzz_inputs
+    argv = data.draw(argvs(path, valid_text, f37))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            event(f"{argv[0]} exit {exc.code}")
+            assert exc.code == 2
+            return
+    event(f"{argv[0]} exit {code}")
+    text = out.getvalue()
+    obj = json.loads(text)
+    assert json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n" == text
+    if code == 0:
+        assert "error" not in obj
+    elif argv[0] == "verify-analysis" and "error" not in obj:
+        assert code == 1 and obj["passed"] is False
+    else:
+        assert code == 1 and set(obj) == {"error", "message"}

@@ -219,10 +219,11 @@ def test_petersson_rejects_hopeless_order(f37):
 def test_omega_f_sq_level_37(f37):
     res = omega_f_sq(f37)
     assert res.omega_f_sq < 0.0
-    assert math.isfinite(res.omega_f_sq)
+    assert all(math.isfinite(v) for v in res.to_json_obj().values())
     assert res.h_i >= 0.0 and res.h_j >= 0.0
     # invariant: minus a square
     assert res.omega_f_sq == -((math.sqrt(res.h_i) + 2 * math.sqrt(res.h_j)) ** 2)
+    assert res.l_prime == l_derivative(f37)
 
 
 def test_omega_f_sq_wrong_sign(f11):
@@ -240,23 +241,7 @@ def test_omega_f_sq_height_combination():
         _combine_heights(-1e-3, 0.0, 1e-9)
 
 
-# -- aggregated values and tail bounds ---------------------------------------
-
-
-def test_l_values_aggregate(f37):
-    from eischow.lseries import l_values
-
-    vals = l_values(f37)
-    assert vals.l1 == 0.0
-    assert vals.l1prime == l_derivative(f37)
-    assert vals.err_bound > 0.0
-    assert all(
-        math.isfinite(v)
-        for v in (vals.l1, vals.l1prime, vals.l_chi_m4, vals.l_chi_m3, vals.petersson)
-    )
-    with pytest.raises(WrongSign):
-        l_values(EigenformData(label="x", level=37, weight=2, al_sign=-1,
-                               an=f37.an, source="ingested"))
+# -- tail bounds --------------------------------------------------------------
 
 
 def test_tail_bounds_monotone_and_honest(f37):
