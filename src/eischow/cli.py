@@ -206,7 +206,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega-f", help="isotypical invariant omega_f^2 from a dataset")
     add_common(p, positional_n=False)
     p.add_argument("--eigenform", required=True, help="JSON-lines eigenform file")
-    p.add_argument("--tolerance", type=_positive_float, default=1e-9)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-9,
+                   help="clamp for small negative heights: h in [-TOL, 0) counts as 0, "
+                        "below -TOL is an error; does not set the series or quadrature accuracy")
     p = sub.add_parser("verify-analysis", help="run the disc-identity regression gate")
     add_common(p, positional_n=False)
     p.add_argument("--tolerance", type=_positive_float, default=1e-6)

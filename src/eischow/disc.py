@@ -267,6 +267,9 @@ def dirichlet_pairing(f: DiscFunction, g: DiscFunction) -> complex:
     """(f, g)_1 = i int df ^ conj(dg) = 2 int f_z conj(g_z) dA."""
     if f.grid is not g.grid and f.grid.nodes.shape != g.grid.nodes.shape:
         raise ValueError("functions live on incompatible grids")
+    if g is f:
+        fz = f.dz_values()
+        return 2.0 * f.grid.integrate(fz * np.conj(fz))
     return 2.0 * f.grid.integrate(f.dz_values() * np.conj(g.dz_values()))
 
 
@@ -330,14 +333,15 @@ def pushforward_pow(g: DiscFunction, n: int) -> DiscFunction:
             u = w ** (1.0 / n)
             return sum(cf.value(rho * u) for rho in roots)
 
+        # du/dw = u / (n w) on the same principal branch; the grid nodes exclude w = 0
         def dz(w):
             u = w ** (1.0 / n)
-            du = (1.0 / n) * w ** (1.0 / n - 1.0)
+            du = u / (n * w)
             return sum(cf.dz(rho * u) * rho * du for rho in roots)
 
         def dzbar(w):
             u = w ** (1.0 / n)
-            du = (1.0 / n) * w ** (1.0 / n - 1.0)
+            du = u / (n * w)
             return sum(cf.dzbar(rho * u) * np.conj(rho * du) for rho in roots)
 
         return DiscFunction.sample(ClosedForm(value=value, dz=dz, dzbar=dzbar), g.grid)

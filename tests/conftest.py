@@ -1,12 +1,13 @@
-"""Shared fixtures: the internal level-11 form and a generated level-37
-rank-one dataset.
+"""Shared fixtures: the internal level-11 form and generated level-37 and
+level-53 rank-one datasets.
 
 The level-37 coefficients are produced by counting points on the rank-one
 optimal quotient of J_0(37), the curve y^2 + y = x^3 - x of conductor 37,
-and extending multiplicatively.  The generator is the test suite's oracle
-for an "ingested" dataset: the package itself never fabricates eigenforms,
-and the ingest path re-validates every structural invariant (a_1 = 1,
-multiplicativity, Hecke recursion) before the data is used.  A handful of
+and extending multiplicatively; the level-53 form comes from
+y^2 + xy + y = x^3 - x^2 the same way.  The generator is the test suite's
+oracle for an "ingested" dataset: the package itself never fabricates
+eigenforms, and the ingest path re-validates every structural invariant
+(a_1 = 1, multiplicativity, Hecke recursion) before the data is used.  A handful of
 point-counted a_p are additionally frozen here as literals so that a bug in
 the generator cannot silently propagate.
 """
@@ -21,6 +22,10 @@ from eischow.lseries import EigenformData, from_qexpansion, ingest
 
 COEFF_COUNT = 2400
 
+# Weierstrass models [a1, a2, a3, a4, a6] of discriminant +-N
+CURVE_37A = (0, 0, 1, -1, 0)  # y^2 + y = x^3 - x
+CURVE_53A = (1, -1, 1, 0, 0)  # y^2 + xy + y = x^3 - x^2
+
 # frozen by the point-count oracle below (and the Hecke recursion)
 FROZEN_37A_AP = {2: -2, 3: -3, 5: -2, 7: -1, 11: -5, 13: -2, 17: 0, 19: 0, 23: 2, 29: 6}
 
@@ -34,30 +39,24 @@ def _primes_upto(m):
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def _ap_37a(p):
-    """a_p of the conductor-37 curve y^2 + y = x^3 - x by point counting."""
-    if p == 37:
-        # multiplicative reduction; count smooth points directly
-        cnt = 0
-        for x in range(p):
-            rhs = (x * x * x - x) % p
-            for y in range(p):
-                if (y * y + y - rhs) % p == 0:
-                    if (2 * y + 1) % p == 0 and (3 * x * x - 1) % p == 0:
-                        continue  # the node
-                    cnt += 1
-        return p - (cnt + 1)
+def _ap_weierstrass(a, p):
+    """a_p = p - #{affine points} of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6
+    over F_p, counting every affine point (at the bad prime the node once,
+    which gives a_p = +1 or -1)."""
+    a1, a2, a3, a4, a6 = a
     if p == 2:
         cnt = sum(
-            1 for x in range(2) for y in range(2) if (y * y + y - x * x * x + x) % 2 == 0
+            1 for x in range(2) for y in range(2)
+            if (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % 2 == 0
         )
-        return p + 1 - (cnt + 1)
+        return p - cnt
     cnt = 0
     for x in range(p):
-        d = (1 + 4 * (x * x * x - x)) % p
+        # (2y + a1 x + a3)^2 = d has 1 + (d / p) solutions
+        d = ((a1 * x + a3) ** 2 + 4 * (x ** 3 + a2 * x * x + a4 * x + a6)) % p
         sym = pow(d, (p - 1) // 2, p) if d else 0
         cnt += 1 + (1 if sym == 1 else (-1 if sym == p - 1 else 0))
-    return p + 1 - (cnt + 1)
+    return p - cnt
 
 
 def extend_an(ap, count, level):
@@ -77,7 +76,7 @@ def extend_an(ap, count, level):
 
 
 def make_37a_an(count=COEFF_COUNT):
-    ap = {p: _ap_37a(p) for p in _primes_upto(count)}
+    ap = {p: _ap_weierstrass(CURVE_37A, p) for p in _primes_upto(count)}
     for p, expected in FROZEN_37A_AP.items():
         assert ap[p] == expected, f"point count disagrees with frozen a_{p}"
     return extend_an(ap, count, 37)
@@ -100,6 +99,16 @@ def eigenform_37_path(tmp_path_factory):
 @pytest.fixture(scope="session")
 def f37(eigenform_37_path) -> EigenformData:
     return ingest(eigenform_37_path)
+
+
+@pytest.fixture(scope="session")
+def f53() -> EigenformData:
+    """The rank-one form of level 53, with enough coefficients for its
+    Petersson cutoff (448)."""
+    count = 600
+    ap = {p: _ap_weierstrass(CURVE_53A, p) for p in _primes_upto(count)}
+    return EigenformData(label="53a", level=53, weight=2, al_sign=1,
+                         an=tuple(extend_an(ap, count, 53)), source="ingested")
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.special import exp1
 
 from eischow.errors import (
@@ -17,6 +18,8 @@ from eischow.errors import (
 )
 from eischow.lseries import (
     EigenformData,
+    _coefficient_cutoff,
+    _petersson_once,
     chi,
     completed_lambda,
     ingest,
@@ -204,6 +207,53 @@ def test_petersson_positive_and_converged(f37):
     finer = petersson(f37, quad_order=96)
     assert fine > 0.0
     assert abs(finer - fine) < 1e-6 * finer
+
+
+def _petersson_by_translates(f, quad_order, y_main=8.0, y_factor=3.0):
+    """Reference pass: f evaluated at every translate (z+j)/N, one Horner
+    per x-node, the N values squared and summed directly."""
+
+    def gauss(n, lo, hi):
+        x, w = np.polynomial.legendre.leggauss(n)
+        return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
+
+    def f_values(an, z):
+        q = np.exp(2j * np.pi * z)
+        out = np.zeros_like(q)
+        for a in an[::-1]:
+            out = out * q + a
+        return out * q
+
+    N = f.level
+    an = np.array(f.an[:_coefficient_cutoff(f.an, math.sqrt(3.0) / (2.0 * N))], dtype=float)
+    xs, wx = gauss(quad_order, -0.5, 0.5)
+    total = 0.0
+    for x, w in zip(xs, wx):
+        y_min = math.sqrt(1.0 - x * x)
+        ys, wy = gauss(quad_order, y_min, y_main)
+        total += w * float(np.sum(wy * np.abs(f_values(an, x + 1j * ys)) ** 2))
+        ys2, wy2 = gauss(2 * quad_order, y_min, y_factor * N)
+        z = (x + 1j * ys2)[:, None] + np.arange(N)[None, :]
+        vals = np.abs(f_values(an, z / N)) ** 2
+        total += w * float(np.sum(wy2 * np.sum(vals, axis=1))) / N ** 2
+    return total
+
+
+@pytest.mark.parametrize("level", [11, 37, 53])
+@pytest.mark.parametrize("order", [24, 48])
+def test_petersson_fold_matches_translate_sum(level, order, f11, f37, f53):
+    # the Parseval fold over Z/N against the direct sum over all N translates
+    f = {11: f11, 37: f37, 53: f53}[level]
+    folded = _petersson_once(f, order, 8.0, 3.0)
+    direct = _petersson_by_translates(f, order)
+    assert abs(folded - direct) <= 1e-14 * direct
+
+
+def test_petersson_builds_each_gauss_rule_once_per_pass(f37, count_calls):
+    calls = count_calls(leggauss)
+    petersson(f37, quad_order=48)
+    # two passes (orders 24 and 48), each with its rule and the double-order rule
+    assert sorted(calls) == [(24,), (48,), (48,), (96,)]
 
 
 def test_petersson_rejects_hopeless_order(f37):
