@@ -15,10 +15,8 @@ quadrature on a polar grid:
   with dd^c = (i / 2 pi) d dbar.
 
 Conventions: i dz ^ dzbar = 2 dx dy, so every i-integral below is computed
-as twice a plain area integral.  Certified checks sample functions from
-closed forms so quadrature is the only error source; grid-sampled
-functions fall back to spectral angular and finite-difference radial
-derivatives.
+as twice a plain area integral.  Every function is a closed form sampled
+on a Gauss grid, so quadrature is the only error source.
 """
 
 from __future__ import annotations
@@ -29,12 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BoundaryNonVanishing,
-    GridIncompatibleWithDegree,
-    GridTooCoarse,
-    QuadratureNotConverged,
-)
+from .errors import BoundaryNonVanishing, GridTooCoarse, QuadratureNotConverged
 
 __all__ = [
     "ClosedForm",
@@ -58,6 +51,10 @@ __all__ = [
 DEFAULT_RADIAL = 256
 DEFAULT_ANGULAR = 512
 DEFAULT_TOL = 1e-6
+# max |f| on the unit circle above which a boundary-vanishing check refuses f,
+# and the number of equispaced circle points that estimate the maximum
+BOUNDARY_TOL = 1e-9
+BOUNDARY_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -78,23 +75,19 @@ class ClosedForm:
 class DiscGrid:
     """Polar quadrature grid: Gauss-Legendre radii in (0,1), equispaced angles.
 
-    The radial rule's stated polynomial exactness is validated at
-    construction; grids derived by pushing radii through r -> r^n carry
-    ``exact_degree = None`` (no polynomial exactness claim) but inherit
-    correct quadrature weights for smooth integrands.
+    The radial rule's stated polynomial exactness ``exact_degree`` is
+    validated at construction.
     """
 
     def __init__(self, radial_nodes, radial_weights, angular_count, exact_degree):
         self.radial_nodes = np.asarray(radial_nodes, dtype=float)
         self.radial_weights = np.asarray(radial_weights, dtype=float)
         self.angular_count = int(angular_count)
-        self.exact_degree = exact_degree
         if np.any(self.radial_weights <= 0):
             raise ValueError("radial weights must be positive")
         if np.any((self.radial_nodes <= 0) | (self.radial_nodes >= 1)):
             raise ValueError("radial nodes must lie in (0, 1)")
-        if exact_degree is not None:
-            self._validate_exactness(exact_degree)
+        self._validate_exactness(exact_degree)
         self.angles = 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
         self.nodes = self.radial_nodes[:, None] * np.exp(1j * self.angles)[None, :]
         self._coarse = None
@@ -130,77 +123,53 @@ class DiscGrid:
         return self._coarse
 
 
+@dataclass(frozen=True, eq=False)
 class DiscFunction:
-    """Function on the disc: values on a grid, optionally with a closed form."""
+    """A closed form and its samples on a grid; build it with ``sample``.
 
-    def __init__(self, grid: DiscGrid, values, closed_form: ClosedForm | None = None):
-        self.grid = grid
-        self.values = np.asarray(values, dtype=complex)
-        if self.values.shape != grid.nodes.shape:
-            raise ValueError("values shape does not match the grid")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite function values")
-        self.closed_form = closed_form
+    Derivatives and the boundary maximum read the closed form, and
+    ``on_grid`` resamples it exactly.
+    """
+
+    closed_form: ClosedForm
+    grid: DiscGrid
+    values: np.ndarray
 
     @staticmethod
-    def sample(closed_form: ClosedForm, grid: DiscGrid | None = None) -> "DiscFunction":
-        grid = grid or DiscGrid.gauss()
-        return DiscFunction(grid, closed_form.value(grid.nodes), closed_form)
+    def sample(closed_form: ClosedForm, grid: DiscGrid) -> "DiscFunction":
+        """Sample closed_form on grid, checking the samples' shape and
+        finiteness (closed forms come from the caller)."""
+        values = np.asarray(closed_form.value(grid.nodes), dtype=complex)
+        if values.shape != grid.nodes.shape:
+            raise ValueError("values shape does not match the grid")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite function values")
+        return DiscFunction(closed_form, grid, values)
 
     def on_grid(self, grid: DiscGrid) -> "DiscFunction":
-        if grid is self.grid:
-            return self
-        if self.closed_form is None:
-            raise ValueError("cannot resample a grid-only function")
-        return DiscFunction.sample(self.closed_form, grid)
-
-    # -- derivative samples -------------------------------------------------
+        return self if grid is self.grid else DiscFunction.sample(self.closed_form, grid)
 
     def dz_values(self) -> np.ndarray:
-        if self.closed_form is not None:
-            return np.asarray(self.closed_form.dz(self.grid.nodes), dtype=complex)
-        fr, fth = self._numeric_gradient()
-        r = self.grid.radial_nodes[:, None]
-        phase = np.exp(-1j * self.grid.angles)[None, :]
-        return 0.5 * phase * (fr - 1j * fth / r)
+        return np.asarray(self.closed_form.dz(self.grid.nodes), dtype=complex)
 
     def dzbar_values(self) -> np.ndarray:
-        if self.closed_form is not None:
-            return np.asarray(self.closed_form.dzbar(self.grid.nodes), dtype=complex)
-        fr, fth = self._numeric_gradient()
-        r = self.grid.radial_nodes[:, None]
-        phase = np.exp(1j * self.grid.angles)[None, :]
-        return 0.5 * phase * (fr + 1j * fth / r)
+        return np.asarray(self.closed_form.dzbar(self.grid.nodes), dtype=complex)
 
-    def _numeric_gradient(self):
-        # spectral derivative in theta, second-order differences in r
-        k = np.fft.fftfreq(self.grid.angular_count, d=1.0 / self.grid.angular_count)
-        fth = np.fft.ifft(1j * k[None, :] * np.fft.fft(self.values, axis=1), axis=1)
-        r = self.grid.radial_nodes
-        fr = np.empty_like(self.values)
-        fr[0] = (self.values[1] - self.values[0]) / (r[1] - r[0])
-        fr[-1] = (self.values[-1] - self.values[-2]) / (r[-1] - r[-2])
-        h1 = (r[1:-1] - r[:-2])[:, None]
-        h2 = (r[2:] - r[1:-1])[:, None]
-        fr[1:-1] = (
-            h1 * self.values[2:] / (h2 * (h1 + h2))
-            - (h1 - h2) * self.values[1:-1] / (h1 * h2)
-            - h2 * self.values[:-2] / (h1 * (h1 + h2))
-        )
-        return fr, fth
-
-    def boundary_max(self, samples: int = 1024) -> float:
-        """max |f| on the unit circle (closed form) or the outermost ring."""
-        if self.closed_form is not None:
-            theta = 2.0 * np.pi * np.arange(samples) / samples
-            return float(np.max(np.abs(self.closed_form.value(np.exp(1j * theta)))))
-        return float(np.max(np.abs(self.values[-1])))
+    def boundary_max(self) -> float:
+        """max |f| over BOUNDARY_SAMPLES equispaced points of the unit circle."""
+        theta = 2.0 * np.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
+        return float(np.max(np.abs(self.closed_form.value(np.exp(1j * theta)))))
 
 
-def _require_boundary_vanishing(f: DiscFunction, tol: float):
+def _require_boundary_vanishing(f: DiscFunction):
     m = f.boundary_max()
-    if m > tol:
-        raise BoundaryNonVanishing(f"max |f| on the boundary is {m:.3e} > {tol:g}")
+    if m > BOUNDARY_TOL:
+        raise BoundaryNonVanishing(f"max |f| on the boundary is {m:.3e} > {BOUNDARY_TOL:g}")
+
+
+def _dirichlet_energy(f: DiscFunction) -> float:
+    """2 int |f_z|^2 dA, the Dirichlet seminorm of f on its grid."""
+    return 2.0 * f.grid.integrate(np.abs(f.dz_values()) ** 2).real
 
 
 @dataclass(frozen=True)
@@ -236,37 +205,21 @@ class Check:
 def seminorm1(f: DiscFunction, tol: float = DEFAULT_TOL) -> Check:
     """The Dirichlet seminorm ||f||_1^2 = i int df ^ conj(df) = 2 int |f_z|^2 dA.
 
-    Returns the value as ``lhs`` against its half-resolution value as
-    ``rhs`` (exact resampling for closed forms, angular subsampling
-    otherwise), so ``residual`` is the refinement estimate; raises
-    GridTooCoarse when the estimate exceeds tol.
+    Returns the value as ``lhs`` against the value of f resampled on the
+    half-resolution grid as ``rhs``, so ``residual`` is the refinement
+    estimate; raises GridTooCoarse when the estimate exceeds tol.
     """
-    value = 2.0 * f.grid.integrate(np.abs(f.dz_values()) ** 2).real
-    if f.closed_form is not None:
-        coarse_f = DiscFunction.sample(f.closed_form, f.grid.coarsened())
-        coarse = 2.0 * coarse_f.grid.integrate(np.abs(coarse_f.dz_values()) ** 2).real
-    else:
-        sub = DiscFunction(
-            _angular_subgrid(f.grid), f.values[:, ::2], None
-        )
-        coarse = 2.0 * sub.grid.integrate(np.abs(sub.dz_values()) ** 2).real
+    value = _dirichlet_energy(f)
+    coarse = _dirichlet_energy(f.on_grid(f.grid.coarsened()))
     result = Check.equality(value, coarse)
     if result.residual > tol:
         raise GridTooCoarse(f"refinement estimate {result.residual:.3e} > {tol:g}")
     return result
 
 
-def _angular_subgrid(grid: DiscGrid) -> DiscGrid:
-    if grid.angular_count % 2:
-        raise GridIncompatibleWithDegree("angular count must be even to subsample")
-    return DiscGrid(grid.radial_nodes, grid.radial_weights, grid.angular_count // 2,
-                    exact_degree=grid.exact_degree)
-
-
 def dirichlet_pairing(f: DiscFunction, g: DiscFunction) -> complex:
-    """(f, g)_1 = i int df ^ conj(dg) = 2 int f_z conj(g_z) dA."""
-    if f.grid is not g.grid and f.grid.nodes.shape != g.grid.nodes.shape:
-        raise ValueError("functions live on incompatible grids")
+    """(f, g)_1 = i int df ^ conj(dg) = 2 int f_z conj(g_z) dA on f's grid."""
+    g = g.on_grid(f.grid)
     if g is f:
         fz = f.dz_values()
         return 2.0 * f.grid.integrate(fz * np.conj(fz))
@@ -274,119 +227,83 @@ def dirichlet_pairing(f: DiscFunction, g: DiscFunction) -> complex:
 
 
 def pullback_pow(f: DiscFunction, n: int) -> DiscFunction:
-    """phi^* f = f(z^n) for the covering phi(z) = z^n.
+    """phi^* f = f(z^n) for the covering phi(z) = z^n, on f's grid.
 
-    Closed-form inputs compose analytically (chain rule for both
-    derivatives); grid-only inputs land on the derived grid with radii
-    r^(1/n) and n-fold angular count, on which every image node z^n is an
-    original node.
+    The closed form composes analytically (chain rule for both
+    derivatives).
     """
     if n < 1:
         raise ValueError("covering degree must be >= 1")
-    if f.closed_form is not None:
-        cf = f.closed_form
+    cf = f.closed_form
 
-        def value(z):
-            return cf.value(z ** n)
+    def value(z):
+        return cf.value(z ** n)
 
-        def dz(z):
-            return n * z ** (n - 1) * cf.dz(z ** n)
+    def dz(z):
+        return n * z ** (n - 1) * cf.dz(z ** n)
 
-        def dzbar(z):
-            return n * np.conj(z) ** (n - 1) * cf.dzbar(z ** n)
+    def dzbar(z):
+        return n * np.conj(z) ** (n - 1) * cf.dzbar(z ** n)
 
-        dzdzbar = None
-        if cf.dzdzbar is not None:
-            def dzdzbar(z):
-                return n ** 2 * np.abs(z) ** (2 * (n - 1)) * cf.dzdzbar(z ** n)
+    dzdzbar = None
+    if cf.dzdzbar is not None:
+        def dzdzbar(z):
+            return n ** 2 * np.abs(z) ** (2 * (n - 1)) * cf.dzdzbar(z ** n)
 
-        return DiscFunction.sample(
-            ClosedForm(value=value, dz=dz, dzbar=dzbar, dzdzbar=dzdzbar), f.grid
-        )
-    grid = f.grid
-    new_grid = DiscGrid(
-        grid.radial_nodes ** (1.0 / n),
-        grid.radial_weights / n * grid.radial_nodes ** (1.0 / n - 1.0),
-        grid.angular_count * n,
-        exact_degree=None,
+    return DiscFunction.sample(
+        ClosedForm(value=value, dz=dz, dzbar=dzbar, dzdzbar=dzdzbar), f.grid
     )
-    values = np.tile(f.values, (1, n))
-    return DiscFunction(new_grid, values)
 
 
 def pushforward_pow(g: DiscFunction, n: int) -> DiscFunction:
-    """phi_* g (w) = sum over the n-th roots u of w of g(u).
+    """phi_* g (w) = sum over the n-th roots u of w of g(u), on g's grid.
 
-    With a closed form the root sum (fixed principal branch; the sum is
-    branch-independent) is formed analytically together with its
-    derivatives.  Grid-only inputs require n to divide the angular count,
-    in which case all roots of image nodes are grid nodes and the result
-    lives on the image grid with radii r^n.
+    The root sum (fixed principal branch; the sum is branch-independent)
+    is formed analytically together with its derivatives.
     """
     if n < 1:
         raise ValueError("covering degree must be >= 1")
-    if g.closed_form is not None:
-        cf = g.closed_form
-        roots = np.exp(2j * np.pi * np.arange(n) / n)
+    cf = g.closed_form
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
 
-        def value(w):
-            u = w ** (1.0 / n)
-            return sum(cf.value(rho * u) for rho in roots)
+    def value(w):
+        u = w ** (1.0 / n)
+        return sum(cf.value(rho * u) for rho in roots)
 
-        # du/dw = u / (n w) on the same principal branch; the grid nodes exclude w = 0
-        def dz(w):
-            u = w ** (1.0 / n)
-            du = u / (n * w)
-            return sum(cf.dz(rho * u) * rho * du for rho in roots)
+    # du/dw = u / (n w) on the same principal branch; the grid nodes exclude w = 0
+    def dz(w):
+        u = w ** (1.0 / n)
+        du = u / (n * w)
+        return sum(cf.dz(rho * u) * rho * du for rho in roots)
 
-        def dzbar(w):
-            u = w ** (1.0 / n)
-            du = u / (n * w)
-            return sum(cf.dzbar(rho * u) * np.conj(rho * du) for rho in roots)
+    def dzbar(w):
+        u = w ** (1.0 / n)
+        du = u / (n * w)
+        return sum(cf.dzbar(rho * u) * np.conj(rho * du) for rho in roots)
 
-        return DiscFunction.sample(ClosedForm(value=value, dz=dz, dzbar=dzbar), g.grid)
-    grid = g.grid
-    if grid.angular_count % n:
-        raise GridIncompatibleWithDegree(
-            f"angular count {grid.angular_count} not divisible by degree {n}"
-        )
-    new_grid = DiscGrid(
-        grid.radial_nodes ** n,
-        grid.radial_weights * n * grid.radial_nodes ** (n - 1),
-        grid.angular_count // n,
-        exact_degree=None,
-    )
-    k_out = grid.angular_count // n
-    values = np.zeros((len(grid.radial_nodes), k_out), dtype=complex)
-    for m in range(k_out):
-        for j in range(n):
-            values[:, m] += g.values[:, (m + j * k_out) % grid.angular_count]
-    return DiscFunction(new_grid, values)
+    return DiscFunction.sample(ClosedForm(value=value, dz=dz, dzbar=dzbar), g.grid)
 
 
-def check_dbar_equality(f: DiscFunction, boundary_tol: float = 1e-9) -> Check:
+def check_dbar_equality(f: DiscFunction) -> Check:
     """int |f_z|^2 versus int |f_zbar|^2 for f vanishing on the boundary."""
-    _require_boundary_vanishing(f, boundary_tol)
-    lhs = 2.0 * f.grid.integrate(np.abs(f.dz_values()) ** 2).real
+    _require_boundary_vanishing(f)
+    lhs = _dirichlet_energy(f)
     rhs = 2.0 * f.grid.integrate(np.abs(f.dzbar_values()) ** 2).real
     return Check.equality(lhs, rhs)
 
 
-def check_hardy(f: DiscFunction, delta: float, tol: float = DEFAULT_TOL,
-                boundary_tol: float = 1e-9) -> Check:
+def check_hardy(f: DiscFunction, delta: float, tol: float = DEFAULT_TOL) -> Check:
     """Weighted Poincare inequality with the explicit constant (4/delta)^2.
 
     lhs = i int |f|^2 / |z|^{2-delta} dz^dzbar, integrated after the
     singularity-absorbing substitution r = u^(1/delta) (which turns
     r^{delta-1} dr into du/delta, keeping nodes off the singularity);
     rhs = (4/delta)^2 i int |f_z|^2 dz^dzbar; the residual is the excess
-    max(0, lhs - rhs).  Requires a closed form for the resampled radii.
+    max(0, lhs - rhs).
     """
     if not 0.0 < delta < 2.0:
         raise ValueError("delta must lie in (0, 2)")
-    if f.closed_form is None:
-        raise ValueError("check_hardy needs a closed form to resample radii")
-    _require_boundary_vanishing(f, boundary_tol)
+    _require_boundary_vanishing(f)
 
     def weighted_integral(grid):
         u = grid.radial_nodes
@@ -398,7 +315,7 @@ def check_hardy(f: DiscFunction, delta: float, tol: float = DEFAULT_TOL,
     lhs = weighted_integral(f.grid)
     if abs(lhs - weighted_integral(f.grid.coarsened())) > max(tol, 1e-12 * abs(lhs)):
         raise QuadratureNotConverged("weighted integral not converged on this grid")
-    rhs = (4.0 / delta) ** 2 * 2.0 * f.grid.integrate(np.abs(f.dz_values()) ** 2).real
+    rhs = (4.0 / delta) ** 2 * _dirichlet_energy(f)
     return Check(lhs=lhs, rhs=rhs, residual=max(0.0, lhs - rhs))
 
 
@@ -409,19 +326,18 @@ def check_adjoint(f: DiscFunction, g: DiscFunction, n: int) -> Check:
     return Check.equality(lhs, rhs)
 
 
-def check_ibp(f: DiscFunction, g: DiscFunction,
-              boundary_tol: float = 1e-9) -> Check:
+def check_ibp(f: DiscFunction, g: DiscFunction) -> Check:
     """2 pi int f dd^c conj(g) versus -(f, g)_1 for boundary-vanishing f.
 
     With dd^c = (i/2pi) d dbar the left side is i int f conj(g_zbar_z)
     dz^dzbar, which needs the mixed second derivative of g in closed form.
     """
-    _require_boundary_vanishing(f, boundary_tol)
-    if g.closed_form is None or g.closed_form.dzdzbar is None:
+    _require_boundary_vanishing(f)
+    if g.closed_form.dzdzbar is None:
         raise ValueError("check_ibp needs the mixed second derivative of g")
     mixed = np.conj(g.closed_form.dzdzbar(f.grid.nodes))
     lhs = 2.0 * f.grid.integrate(f.values * mixed)
-    rhs = -dirichlet_pairing(f, g.on_grid(f.grid))
+    rhs = -dirichlet_pairing(f, g)
     return Check.equality(lhs, rhs)
 
 

@@ -96,9 +96,5 @@ class GridTooCoarse(EischowError):
     """The grid-refinement error estimate exceeds the tolerance."""
 
 
-class GridIncompatibleWithDegree(EischowError):
-    """The angular grid is not divisible by the covering degree."""
-
-
 class BoundaryNonVanishing(EischowError):
     """A function required to vanish on the boundary circle does not."""

@@ -11,10 +11,10 @@ L-function has sign -1, the invariant is
 
 with (f,f) the Petersson norm in the unnormalized convention
 integral_{Gamma_0(N)\\H} |f(z)|^2 dx dy (no division by the hyperbolic
-volume).  The functional-equation sign is taken to be -al_sign; if that
-convention ever disagreed with a dataset, the Lambda-symmetry residual
-check fails loudly, so the convention is verified at runtime rather than
-trusted.
+volume).  The functional-equation sign is taken to be -al_sign; omega_f_sq
+checks it on every form: the Lambda-symmetry residual at t = SIGN_GATE_T
+must stay below SIGN_GATE_TOL, else WrongSign, so the convention is
+verified at runtime rather than trusted.
 
 Numerical methods are standard: exponentially convergent series with
 incomplete-gamma/exponential-integral kernels for the L-values, and
@@ -64,6 +64,16 @@ __all__ = [
     "OmegaFResult",
     "omega_f_sq",
 ]
+
+# tail bound of every L-series sum
+SERIES_TOL = 1e-12
+# Petersson truncation heights: Im z = Y_MAIN on the level-one domain,
+# Im z = Y_FACTOR * N on the translates
+Y_MAIN = 8.0
+Y_FACTOR = 3.0
+# functional-equation gate of omega_f_sq: |Lambda(1+t) - eps Lambda(1-t)| at t
+SIGN_GATE_T = 0.25
+SIGN_GATE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -248,9 +258,19 @@ def _twist_data(f: EigenformData, twist):
     return cond, sign, lambda n: chi(twist, n)
 
 
-def _required_terms(c: float, tol: float) -> int:
-    # smallest M with 4 e^{-c(M+1)} / (1 - e^{-c}) <= tol
-    return max(1, math.ceil(math.log(4.0 / (tol * (1.0 - math.exp(-c)))) / c))
+def _series_terms(f: EigenformData, c: float) -> int:
+    """Smallest M with 4 e^{-c(M+1)} / (1 - e^{-c}) <= SERIES_TOL.
+
+    Raises InsufficientCoefficients (carrying M) when f stores fewer than
+    M coefficients.
+    """
+    need = max(1, math.ceil(math.log(4.0 / (SERIES_TOL * (1.0 - math.exp(-c)))) / c))
+    if need > f.precision:
+        raise InsufficientCoefficients(
+            f"need {need} coefficients for tolerance {SERIES_TOL:g}, have {f.precision}",
+            required=need,
+        )
+    return need
 
 
 def central_series_tail(conductor: int, m: int) -> float:
@@ -264,7 +284,7 @@ def central_series_tail(conductor: int, m: int) -> float:
     return 4.0 * math.exp(-c * (m + 1)) / (1.0 - math.exp(-c))
 
 
-def l_value(f: EigenformData, twist=None, tol: float = 1e-12) -> float:
+def l_value(f: EigenformData, twist=None) -> float:
     """L(f, 1) or the twisted L(f, chi_disc, 1) with certified series tail.
 
     Uses the exponentially convergent central-value series: with c = 2 pi /
@@ -274,18 +294,13 @@ def l_value(f: EigenformData, twist=None, tol: float = 1e-12) -> float:
 
     For eps = -1 the value is exactly 0.  Raises InsufficientCoefficients
     (carrying the required count) when the stored a_n cannot push the tail
-    bound below tol.
+    bound below SERIES_TOL.
     """
     cond, sign, character = _twist_data(f, twist)
     if sign == -1:
         return 0.0
     c = 2.0 * math.pi / math.sqrt(cond)
-    need = _required_terms(c, tol)
-    if need > f.precision:
-        raise InsufficientCoefficients(
-            f"need {need} coefficients for tolerance {tol:g}, have {f.precision}",
-            required=need,
-        )
+    need = _series_terms(f, c)
     total = math.fsum(
         2.0 * f.an[n - 1] * character(n) / n * math.exp(-c * n)
         for n in range(1, need + 1)
@@ -293,7 +308,7 @@ def l_value(f: EigenformData, twist=None, tol: float = 1e-12) -> float:
     return total
 
 
-def l_derivative(f: EigenformData, tol: float = 1e-12) -> float:
+def l_derivative(f: EigenformData) -> float:
     """L'(f, 1) for forms with functional-equation sign -1.
 
     L'(f, 1) = 2 sum_n (a_n / n) E_1(2 pi n / sqrt(N)), E_1 the exponential
@@ -304,12 +319,7 @@ def l_derivative(f: EigenformData, tol: float = 1e-12) -> float:
         raise WrongSign("L'(f,1) series requires functional-equation sign -1")
     c = 2.0 * math.pi / math.sqrt(f.level)
     # E_1(cn) <= e^{-cn}/(cn), so the same geometric bound applies with a 1/c(M+1) factor
-    need = _required_terms(c, tol)
-    if need > f.precision:
-        raise InsufficientCoefficients(
-            f"need {need} coefficients for tolerance {tol:g}, have {f.precision}",
-            required=need,
-        )
+    need = _series_terms(f, c)
     n = np.arange(1, need + 1)
     an = np.array(f.an[:need], dtype=float)
     return float(2.0 * np.sum(an / n * exp1(c * n)))
@@ -395,7 +405,7 @@ def _f_values(an: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out * q
 
 
-def _petersson_once(f: EigenformData, quad_order: int, y_main: float, y_factor: float) -> float:
+def _petersson_once(f: EigenformData, quad_order: int) -> float:
     N = f.level
     # coset translates ST^j fold back to f((z+j)/N)/N via the Fricke involution,
     # so all evaluations use the q-expansion at Im >= sqrt(3)/(2N)
@@ -405,7 +415,7 @@ def _petersson_once(f: EigenformData, quad_order: int, y_main: float, y_factor: 
     xs, wx = _mapped(rule, -0.5, 0.5)
     y_min = np.sqrt(1.0 - xs * xs)
     # level-one domain: every x-node in one Horner pass over an (order x order) array
-    ys, wy = _mapped(rule, y_min[:, None], y_main)
+    ys, wy = _mapped(rule, y_min[:, None], Y_MAIN)
     main = np.sum(wy * np.abs(_f_values(an, xs[:, None] + 1j * ys)) ** 2, axis=1)
     # translates: with w = e^{2 pi i z/N}, W = w^N and B[k, r] = a_{r+kN} (a_0 = 0),
     # Parseval over Z/N gives sum_j |f((z+j)/N)|^2 / N^2
@@ -414,7 +424,7 @@ def _petersson_once(f: EigenformData, quad_order: int, y_main: float, y_factor: 
     blocks[1:cutoff + 1] = an
     blocks = blocks.reshape(-1, N)
     r = np.arange(N)
-    y_top = y_factor * N
+    y_top = Y_FACTOR * N
     total = 0.0
     for x, w, lo, inner in zip(xs, wx, y_min, main):
         total += w * inner
@@ -432,15 +442,14 @@ def _petersson_once(f: EigenformData, quad_order: int, y_main: float, y_factor: 
     return float(total)
 
 
-def petersson(f: EigenformData, quad_order: int = 48, y_main: float = 8.0,
-              y_factor: float = 3.0, rtol: float = 1e-5) -> float:
+def petersson(f: EigenformData, quad_order: int = 48, rtol: float = 1e-5) -> float:
     """Petersson norm (f,f) = integral over a fundamental domain of |f|^2 dx dy.
 
     Unnormalized (Gross-Zagier) convention; weight 2 makes the hyperbolic
     weight y^2 cancel the measure.  The domain is the union of the level-one
-    domain and its ST^j translates (prime level), truncated at Im z = y_main
-    and y_factor * N respectively; both truncation tails are exponentially
-    certified and far below rtol at the defaults.  Raises
+    domain and its ST^j translates (prime level), truncated at Im z = Y_MAIN
+    and Y_FACTOR * N respectively; both truncation tails are exponentially
+    certified and far below rtol.  Raises
     QuadratureNotConverged when the half-order companion rule moves the
     result by more than rtol relative (that difference is a conservative
     error estimate for the returned full-order value).
@@ -461,8 +470,8 @@ def petersson(f: EigenformData, quad_order: int = 48, y_main: float = 8.0,
         return 0.0
     if not is_prime(f.level):
         raise ValueError("the coset construction is implemented for prime level only")
-    coarse = _petersson_once(f, quad_order // 2, y_main, y_factor)
-    fine = _petersson_once(f, quad_order, y_main, y_factor)
+    coarse = _petersson_once(f, quad_order // 2)
+    fine = _petersson_once(f, quad_order)
     if abs(fine - coarse) > rtol * max(abs(fine), 1e-300):
         raise QuadratureNotConverged(
             f"Petersson quadrature moved by {abs(fine - coarse):.3e} at order {quad_order}"
@@ -472,7 +481,7 @@ def petersson(f: EigenformData, quad_order: int = 48, y_main: float = 8.0,
         e = math.exp(-2.0 * math.pi * y)
         return 2.0 * e / (1.0 - e) ** 2
 
-    tail = _amp(y_main) ** 2 / (4.0 * math.pi) + _amp(y_factor) ** 2 / (4.0 * math.pi)
+    tail = _amp(Y_MAIN) ** 2 / (4.0 * math.pi) + _amp(Y_FACTOR) ** 2 / (4.0 * math.pi)
     if tail > rtol * abs(fine):
         raise QuadratureNotConverged(f"truncation tail {tail:.3e} too large")
     return fine
@@ -517,21 +526,29 @@ def _combine_heights(h_i: float, h_j: float, tol: float) -> float:
     return -((math.sqrt(clamped[0]) + 2.0 * math.sqrt(clamped[1])) ** 2)
 
 
-def omega_f_sq(f: EigenformData, tol: float = 1e-9, quad_order: int = 48,
-               series_tol: float = 1e-12) -> OmegaFResult:
+def omega_f_sq(f: EigenformData, tol: float = 1e-9, quad_order: int = 48) -> OmegaFResult:
     """The isotypical invariant omega_f^2 = -(sqrt(h_i) + 2 sqrt(h_j))^2.
 
     Heights h_i, h_j from the module-level formulas; tiny negative values
     (|h| <= tol, pure numerical noise on a nonnegative height) are clamped
     to zero before the square roots, larger negatives raise
     NegativeHeightBeyondTolerance.  Requires prime level coprime to 6 and
-    functional-equation sign -1 (WrongSign otherwise).
+    functional-equation sign -1 (WrongSign otherwise).  The sign is also
+    checked against the coefficients: WrongSign when the Lambda-symmetry
+    residual at SIGN_GATE_T exceeds SIGN_GATE_TOL, after the L-series
+    have checked that the coefficients suffice.
     """
     if _fe_sign(f) != -1:
         raise WrongSign("omega_f^2 requires functional-equation sign -1")
-    lp = l_derivative(f, tol=series_tol)
-    l4 = l_value(f, twist=-4, tol=series_tol)
-    l3 = l_value(f, twist=-3, tol=series_tol)
+    lp = l_derivative(f)
+    l4 = l_value(f, twist=-4)
+    l3 = l_value(f, twist=-3)
+    residual = lambda_symmetry_residual(f, SIGN_GATE_T)
+    if residual > SIGN_GATE_TOL:
+        raise WrongSign(
+            f"functional equation with sign -al_sign fails: residual {residual:.3e}"
+            f" > {SIGN_GATE_TOL:g} at t = {SIGN_GATE_T}"
+        )
     pet = petersson(f, quad_order=quad_order)
     pi2 = math.pi ** 2
     h_i = l4 * lp / (2.0 * pi2 * pet)

@@ -204,19 +204,32 @@ def _beyond_bound_an(f37, p, a_p, count=40):
     return extend_an(ap, count, 37)
 
 
+def _a2_beyond_bound(f37, f11):
+    # a_2 = 10^400 would overflow the float L-series sums
+    return json.dumps(_37a_record(_beyond_bound_an(f37, 2, 10 ** 400)))
+
+
+def _11a_flipped_sign(f37, f11):
+    # the level-11 eta form with its Fricke sign flipped passes ingest; only
+    # the functional-equation gate sees that its sign is wrong
+    return json.dumps({"label": "11a", "level": 11, "weight": 2, "al_sign": 1,
+                       "an": list(f11.an)})
+
+
 @pytest.mark.parametrize(
     "text, error",
     [
         ("[" * 100_000, "ParseError"),
         ("5", "ParseError"),
         ('"label level weight al_sign an"', "ParseError"),
-        (None, "InvariantViolation"),
+        (_a2_beyond_bound, "InvariantViolation"),
+        (_11a_flipped_sign, "WrongSign"),
     ],
-    ids=["deep-nesting", "number-line", "string-line", "a2-beyond-bound"],
+    ids=["deep-nesting", "number-line", "string-line", "a2-beyond-bound", "11a-flipped-sign"],
 )
-def test_omega_f_rejects_malformed_records(capsys, tmp_path, f37, text, error):
-    if text is None:  # a_2 = 10^400 would overflow the float L-series sums
-        text = json.dumps(_37a_record(_beyond_bound_an(f37, 2, 10 ** 400)))
+def test_omega_f_rejects_malformed_records(capsys, tmp_path, f37, f11, text, error):
+    if callable(text):
+        text = text(f37, f11)
     path = tmp_path / "bad.jsonl"
     path.write_text(text + "\n")
     code, out, _ = run_capture(capsys, ["omega-f", "--eigenform", str(path), "--format", "json"])

@@ -17,6 +17,8 @@ from eischow.errors import (
     WrongSign,
 )
 from eischow.lseries import (
+    Y_FACTOR,
+    Y_MAIN,
     EigenformData,
     _coefficient_cutoff,
     _petersson_once,
@@ -209,7 +211,7 @@ def test_petersson_positive_and_converged(f37):
     assert abs(finer - fine) < 1e-6 * finer
 
 
-def _petersson_by_translates(f, quad_order, y_main=8.0, y_factor=3.0):
+def _petersson_by_translates(f, quad_order):
     """Reference pass: f evaluated at every translate (z+j)/N, one Horner
     per x-node, the N values squared and summed directly."""
 
@@ -230,9 +232,9 @@ def _petersson_by_translates(f, quad_order, y_main=8.0, y_factor=3.0):
     total = 0.0
     for x, w in zip(xs, wx):
         y_min = math.sqrt(1.0 - x * x)
-        ys, wy = gauss(quad_order, y_min, y_main)
+        ys, wy = gauss(quad_order, y_min, Y_MAIN)
         total += w * float(np.sum(wy * np.abs(f_values(an, x + 1j * ys)) ** 2))
-        ys2, wy2 = gauss(2 * quad_order, y_min, y_factor * N)
+        ys2, wy2 = gauss(2 * quad_order, y_min, Y_FACTOR * N)
         z = (x + 1j * ys2)[:, None] + np.arange(N)[None, :]
         vals = np.abs(f_values(an, z / N)) ** 2
         total += w * float(np.sum(wy2 * np.sum(vals, axis=1))) / N ** 2
@@ -244,7 +246,7 @@ def _petersson_by_translates(f, quad_order, y_main=8.0, y_factor=3.0):
 def test_petersson_fold_matches_translate_sum(level, order, f11, f37, f53):
     # the Parseval fold over Z/N against the direct sum over all N translates
     f = {11: f11, 37: f37, 53: f53}[level]
-    folded = _petersson_once(f, order, 8.0, 3.0)
+    folded = _petersson_once(f, order)
     direct = _petersson_by_translates(f, order)
     assert abs(folded - direct) <= 1e-14 * direct
 
