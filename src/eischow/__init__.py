@@ -12,7 +12,14 @@ Subpackages by capability:
 * ``lseries``    L(f,1), L'(f,1), quadratic twists, Petersson norm, omega_f^2
 * ``disc``       the unit-disc Dirichlet-form verification kernel
 * ``cli``        the command-line front end
+
+The exact layers (``gamma0`` to ``qexp``) use only the standard library and
+load with the package.  ``lseries`` and ``disc`` need numpy; they load on
+first use of one of their names here (``eischow.omega_f_sq``,
+``from eischow import *``) or on an explicit ``import eischow.lseries``.
 """
+
+import importlib
 
 from .gamma0 import Gamma0Data, genus_quotient, invariants
 from .symbolic import KAPPA, LOG, ONE, SymbolicReal
@@ -37,16 +44,6 @@ from .qexp import (
     hecke_q,
     heegner_points,
 )
-from .lseries import (
-    EigenformData,
-    chi,
-    ingest,
-    l_derivative,
-    l_value,
-    omega_f_sq,
-    petersson,
-)
-from .disc import DiscFunction, DiscGrid, seminorm1, verification_report
 
 __version__ = "0.1.0"
 
@@ -63,3 +60,22 @@ __all__ = [
     "DiscGrid", "DiscFunction", "seminorm1", "verification_report",
     "__version__",
 ]
+
+# names served from the numpy layers, which load on first access (PEP 562)
+_LAZY = {
+    **dict.fromkeys(
+        ("EigenformData", "chi", "ingest", "l_derivative", "l_value", "omega_f_sq", "petersson"),
+        "lseries",
+    ),
+    **dict.fromkeys(("DiscFunction", "DiscGrid", "seminorm1", "verification_report"), "disc"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 domain error (the error class name is reported as
 a machine-readable code), 2 usage error.  JSON output is canonical (compact
 separators, stable key order) so that parse + re-serialize is
 byte-identical.
+
+Only the exact layers load at import time, and they need nothing beyond
+the standard library: ``invariants``, ``gram``, ``omega-eis``, ``hecke``
+and ``heegner`` never import numpy.  ``omega-f`` imports ``lseries`` and
+``verify-analysis`` imports ``disc`` (and with them numpy) when they run.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import json
 import math
 import sys
 
-from . import disc, eis, hecke, lseries
+from . import eis, hecke
 from .errors import EischowError
 from .gamma0 import invariants
 from .symbolic import SymbolicReal
@@ -153,6 +158,8 @@ def _cmd_heegner(args) -> dict:
 
 
 def _cmd_omega_f(args) -> dict:
+    from . import lseries
+
     f = lseries.ingest(args.eigenform)
     result = lseries.omega_f_sq(f, tol=args.tolerance)
     obj = {"label": f.label, "level": f.level, "al_sign": f.al_sign}
@@ -161,6 +168,8 @@ def _cmd_omega_f(args) -> dict:
 
 
 def _cmd_verify_analysis(args) -> dict:
+    from . import disc
+
     return disc.verification_report(tol=args.tolerance)
 
 

@@ -17,7 +17,9 @@ must stay below SIGN_GATE_TOL, else WrongSign, so the convention is
 verified at runtime rather than trusted.
 
 Numerical methods are standard: exponentially convergent series with
-incomplete-gamma/exponential-integral kernels for the L-values, and
+incomplete-gamma/exponential-integral kernels for the L-values (E_1 and
+Gamma(s, x) are computed here, by power series below SPECIAL_SWITCH and
+continued fractions above it), and
 Gauss-Legendre quadrature over coset translates of the level-one
 fundamental domain for the Petersson integral (prime level, using the
 Fricke involution to fold the slash translates back to q-expansions).
@@ -36,8 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import exp1, gammaincc
-from scipy.special import gamma as _gamma_fn
 
 from .errors import (
     InsufficientCoefficients,
@@ -258,19 +258,26 @@ def _twist_data(f: EigenformData, twist):
     return cond, sign, lambda n: chi(twist, n)
 
 
-def _series_terms(f: EigenformData, c: float) -> int:
-    """Smallest M with 4 e^{-c(M+1)} / (1 - e^{-c}) <= SERIES_TOL.
+def _require(f: EigenformData, need: int, purpose: str) -> int:
+    if need > f.precision:
+        raise InsufficientCoefficients(
+            f"need {need} coefficients for {purpose}, have {f.precision}", required=need
+        )
+    return need
+
+
+def _series_terms(f: EigenformData, conductor: int) -> int:
+    """Smallest M with central_series_tail(conductor, M) <= SERIES_TOL.
 
     Raises InsufficientCoefficients (carrying M) when f stores fewer than
     M coefficients.
     """
-    need = max(1, math.ceil(math.log(4.0 / (SERIES_TOL * (1.0 - math.exp(-c)))) / c))
-    if need > f.precision:
-        raise InsufficientCoefficients(
-            f"need {need} coefficients for tolerance {SERIES_TOL:g}, have {f.precision}",
-            required=need,
-        )
-    return need
+    c = 2.0 * math.pi / math.sqrt(conductor)
+    # start below the bound solved for M in real arithmetic, then step up to it
+    m = max(1, math.floor(math.log(4.0 / (SERIES_TOL * (1.0 - math.exp(-c)))) / c) - 2)
+    while central_series_tail(conductor, m) > SERIES_TOL:
+        m += 1
+    return _require(f, m, f"tolerance {SERIES_TOL:g}")
 
 
 def central_series_tail(conductor: int, m: int) -> float:
@@ -278,10 +285,93 @@ def central_series_tail(conductor: int, m: int) -> float:
 
     From |a_n| <= d(n) sqrt(n) <= 2n: the terms 2 a_n/n e^{-cn} with
     c = 2 pi / sqrt(conductor) are bounded by 4 e^{-cn}, so the tail is at
-    most 4 e^{-c(m+1)} / (1 - e^{-c}).  Strictly decreasing in m.
+    most 4 e^{-c(m+1)} / (1 - e^{-c}).  Strictly decreasing in m.  It also
+    bounds the tail of the derivative series sum 2 a_n/n E_1(cn) wherever
+    c(m+1) >= 1, since E_1(x) < e^{-x} ln(1 + 1/x) < e^{-x} there.
     """
     c = 2.0 * math.pi / math.sqrt(conductor)
     return 4.0 * math.exp(-c * (m + 1)) / (1.0 - math.exp(-c))
+
+
+# -- special functions ----------------------------------------------------------
+#
+# E_1(x) = Gamma(0, x) and Gamma(s, x) for x > 0 and s in [1/2, 3/2] (the
+# range completed_lambda needs): a power series up to SPECIAL_SWITCH and the
+# Legendre continued fraction above it.  Both are summed with a fixed number
+# of terms that reaches double precision at the switch, their worst point
+# (series error grows with x, the fraction converges faster as x grows).
+
+SPECIAL_SWITCH = 1.0
+_SERIES_TERMS = 20
+_FRACTION_TERMS = 100
+_EULER_GAMMA = 0.5772156649015329
+# E_1(x) = -gamma - ln x - x sum_k _E1_SERIES[k] x^k
+_E1_SERIES = tuple((-1) ** k / (k * math.factorial(k)) for k in range(1, _SERIES_TERMS + 1))
+
+
+def _horner(coeffs, x: np.ndarray) -> np.ndarray:
+    total = np.zeros_like(x)
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def _legendre_fraction(s, x: np.ndarray) -> np.ndarray:
+    """Gamma(s, x) = x^s e^{-x} / (x + 1 - s - 1(1-s)/(x + 3 - s - 2(2-s)/(x + 5 - s - ...))),
+
+    the even contraction of DLMF 8.9.2 (6.9.1 at s = 0), evaluated from the
+    bottom up.  ``s`` is a scalar or an array of x's shape.
+    """
+    k = np.arange(_FRACTION_TERMS, 0, -1, dtype=float)[:, None]
+    # every level's numerator k(k - s) and denominator x + 2k + 1 - s up front, so
+    # that a level costs two ufunc calls; each table is one allocation, since
+    # large temporaries cost more than the arithmetic at these sizes
+    numer = k - s
+    numer *= k
+    base = x + (1.0 - s)
+    denom = base + 2.0 * k
+    t = np.zeros_like(x)
+    for a, b in zip(numer, denom):
+        t = a / (b - t)
+    return np.exp(-x) * x ** s / (base - t)
+
+
+def _exp1(x) -> np.ndarray:
+    """The exponential integral E_1(x) = integral_x^inf e^{-t}/t dt, elementwise, x > 0.
+
+    Below the switch, E_1(x) = -gamma - ln x - sum_{k>=1} (-x)^k / (k k!)
+    (DLMF 6.6.2); above it, the continued fraction of Gamma(0, x).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x <= SPECIAL_SWITCH
+    xs = x[small]
+    out[small] = (-_EULER_GAMMA - xs * _horner(_E1_SERIES, xs)) - np.log(xs)
+    out[~small] = _legendre_fraction(0.0, x[~small])
+    return out
+
+
+def _upper_gamma(s, x) -> np.ndarray:
+    """The upper incomplete gamma function Gamma(s, x), elementwise, x > 0, 1/2 <= s <= 3/2.
+
+    ``s`` and ``x`` broadcast together, so one call serves several orders.
+    Below the switch, Gamma(s, x) = Gamma(s) - x^s e^{-x} sum_{k>=0} x^k / (s (s+1) ... (s+k))
+    (DLMF 8.7.1); above it, the Legendre continued fraction.
+    """
+    s, x = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(x, dtype=float))
+    out = np.empty(x.shape)
+    small = x <= SPECIAL_SWITCH
+    xs, ss = x[small], s[small]
+    coeffs = [1.0 / ss]
+    for k in range(1, _SERIES_TERMS + 1):
+        coeffs.append(coeffs[-1] / (ss + k))
+    gamma_s = np.array([math.gamma(v) for v in ss])
+    out[small] = gamma_s - np.exp(-xs) * xs ** ss * _horner(coeffs, xs)
+    out[~small] = _legendre_fraction(s[~small], x[~small])
+    return out
+
+
+# -- L-values -------------------------------------------------------------------
 
 
 def l_value(f: EigenformData, twist=None) -> float:
@@ -300,7 +390,7 @@ def l_value(f: EigenformData, twist=None) -> float:
     if sign == -1:
         return 0.0
     c = 2.0 * math.pi / math.sqrt(cond)
-    need = _series_terms(f, c)
+    need = _series_terms(f, cond)
     total = math.fsum(
         2.0 * f.an[n - 1] * character(n) / n * math.exp(-c * n)
         for n in range(1, need + 1)
@@ -318,11 +408,10 @@ def l_derivative(f: EigenformData) -> float:
     if _fe_sign(f) != -1:
         raise WrongSign("L'(f,1) series requires functional-equation sign -1")
     c = 2.0 * math.pi / math.sqrt(f.level)
-    # E_1(cn) <= e^{-cn}/(cn), so the same geometric bound applies with a 1/c(M+1) factor
-    need = _series_terms(f, c)
+    need = _series_terms(f, f.level)
     n = np.arange(1, need + 1)
     an = np.array(f.an[:need], dtype=float)
-    return float(2.0 * np.sum(an / n * exp1(c * n)))
+    return float(2.0 * np.sum(an / n * _exp1(c * n)))
 
 
 def completed_lambda(f: EigenformData, s: float, split: float = 1.0) -> float:
@@ -339,27 +428,32 @@ def completed_lambda(f: EigenformData, s: float, split: float = 1.0) -> float:
     Lambda(s) = eps Lambda(2-s) a genuine test of the coefficient data and
     of the sign convention, which is how ``lambda_symmetry_residual`` uses
     it.
+
+    Requires 1/2 <= s <= 3/2 and raises InsufficientCoefficients (carrying
+    the required count) when f stores fewer coefficients than the sum needs
+    for both exponential factors e^{-cn} to fall below e^{-45}.
     """
+    return float(_completed_lambdas(f, [s], split)[0])
+
+
+def _completed_lambdas(f: EigenformData, s_values, split: float) -> np.ndarray:
+    """completed_lambda at each s in s_values, with one special-function pass for all."""
+    s = np.asarray(s_values, dtype=float)[:, None]
+    if not np.all((0.5 <= s) & (s <= 1.5)):
+        raise ValueError(f"completed_lambda needs 1/2 <= s <= 3/2, got {list(s_values)}")
     N = f.level
     eps = _fe_sign(f)
     y0 = split / math.sqrt(N)
     two_pi = 2.0 * math.pi
-    # keep terms until both exponential kernels are below 1e-18
     c1, c2 = two_pi * y0, two_pi / (N * y0)
-    need = min(f.precision, int(45.0 / min(c1, c2)) + 2)
+    need = _require(f, int(45.0 / min(c1, c2)) + 2, f"Lambda(s) at split {split:g}")
     n = np.arange(1, need + 1, dtype=float)
     an = np.array(f.an[:need], dtype=float)
-    x1 = c1 * n
-    x2 = c2 * n
-    t1 = N ** (s / 2.0) * (two_pi * n) ** (-s) * gammaincc(s, x1) * _gamma_fn(s)
-    t2 = (
-        eps
-        * N ** ((2.0 - s) / 2.0)
-        * (two_pi * n) ** (s - 2.0)
-        * gammaincc(2.0 - s, x2)
-        * _gamma_fn(2.0 - s)
-    )
-    return float(np.sum(an * (t1 + t2)))
+    # kernel, order, term: Gamma(s, c1 n) and Gamma(2 - s, c2 n) for every s
+    g1, g2 = _upper_gamma([s, 2.0 - s], np.stack([c1 * n, c2 * n])[:, None, :])
+    t1 = N ** (s / 2.0) * (two_pi * n) ** (-s) * g1
+    t2 = eps * N ** ((2.0 - s) / 2.0) * (two_pi * n) ** (s - 2.0) * g2
+    return np.sum(an * (t1 + t2), axis=1)
 
 
 def lambda_symmetry_residual(f: EigenformData, t: float, split: float = 1.3) -> float:
@@ -367,10 +461,12 @@ def lambda_symmetry_residual(f: EigenformData, t: float, split: float = 1.3) -> 
 
     Vanishes (to quadrature accuracy) exactly when the stored coefficients
     satisfy the weight-2 functional equation with sign -al_sign; a wrong
-    sign or corrupted coefficients produce an O(Lambda) residual.
+    sign or corrupted coefficients produce an O(Lambda) residual.  Needs
+    |t| <= 1/2, the range of completed_lambda.
     """
     eps = _fe_sign(f)
-    return abs(completed_lambda(f, 1.0 + t, split) - eps * completed_lambda(f, 1.0 - t, split))
+    plus, minus = _completed_lambdas(f, (1.0 + t, 1.0 - t), split)
+    return float(abs(plus - eps * minus))
 
 
 # -- Petersson norm ---------------------------------------------------------

@@ -12,11 +12,14 @@ point-counted a_p are additionally frozen here as literals so that a bug in
 the generator cannot silently propagate.
 """
 
+import importlib
 import json
+import pkgutil
 import sys
 
 import pytest
 
+import eischow
 from eischow import EtaQuotient, eta_expand
 from eischow.lseries import EigenformData, from_qexpansion, ingest
 
@@ -120,7 +123,13 @@ def f11() -> EigenformData:
 @pytest.fixture
 def count_calls(monkeypatch):
     """Replace a package function, wherever a module binds it, by a counting
-    wrapper; returns the list of argument tuples it was called with."""
+    wrapper; returns the list of argument tuples it was called with.
+
+    Every submodule is imported first: the numpy layers load lazily, and one
+    first imported while the wrapper is installed would keep it for good.
+    """
+    for info in pkgutil.iter_modules(eischow.__path__):
+        importlib.import_module(f"eischow.{info.name}")
 
     def install(fn):
         calls = []

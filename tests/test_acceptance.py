@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import exp1
+import pytest
 
 from eischow.disc import (
     DiscFunction,
@@ -189,6 +189,7 @@ def test_criterion_8_l_series_evaluator(f37, f11):
     assert abs(s[0] - s[1]) < 1e-8
     assert abs(l_value(f11) - s[1]) < 1e-8
     c37 = 2.0 * math.pi / math.sqrt(37)
+    exp1 = pytest.importorskip("scipy.special").exp1
 
     def deriv(m):
         n = np.arange(1, m + 1)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
-from scipy.special import exp1
 
 from eischow.errors import (
     InsufficientCoefficients,
@@ -17,11 +16,17 @@ from eischow.errors import (
     WrongSign,
 )
 from eischow.lseries import (
+    SERIES_TOL,
+    SPECIAL_SWITCH,
     Y_FACTOR,
     Y_MAIN,
     EigenformData,
     _coefficient_cutoff,
+    _exp1,
     _petersson_once,
+    _series_terms,
+    _upper_gamma,
+    central_series_tail,
     chi,
     completed_lambda,
     ingest,
@@ -152,6 +157,7 @@ def test_l_value_insufficient_coefficients(f11):
 
 
 def test_l_derivative_value_and_stability(f37):
+    exp1 = pytest.importorskip("scipy.special").exp1
     c = 2.0 * math.pi / math.sqrt(37)
 
     def partial(m):
@@ -165,9 +171,59 @@ def test_l_derivative_value_and_stability(f37):
     assert l_derivative(f37) == v  # deterministic
 
 
+def test_l_derivative_matches_scipy_exp1(f37, f53):
+    exp1 = pytest.importorskip("scipy.special").exp1
+    for f in (f37, f53):
+        c = 2.0 * math.pi / math.sqrt(f.level)
+        n = np.arange(1, _series_terms(f, f.level) + 1)
+        reference = float(2.0 * np.sum(np.array(f.an[: n.size], dtype=float) / n * exp1(c * n)))
+        assert abs(l_derivative(f) - reference) <= 1e-14 * abs(reference)
+
+
 def test_l_derivative_wrong_sign(f11):
     with pytest.raises(WrongSign):
         l_derivative(f11)
+
+
+# -- special functions ---------------------------------------------------------
+
+# both sides of each switch point, and far into each branch
+_GRID = np.concatenate([np.geomspace(1e-3, 60.0, 400), [SPECIAL_SWITCH]])
+
+
+def test_exp1_value_at_one():
+    # DLMF 6.6: E_1(1) = 0.21938 39343 95520 27...
+    assert abs(_exp1(1.0) - 0.21938393439552027) <= 2e-16
+
+
+@pytest.mark.parametrize("s", [0.5, 0.75, 1.0, 1.25, 1.5])
+def test_special_functions_continuous_at_switch(s):
+    # the largest x on the series side and the smallest on the fraction side
+    # differ by one ulp, so their values may differ only by round-off
+    below, above = SPECIAL_SWITCH, np.nextafter(SPECIAL_SWITCH, 2.0)
+    for fn in (_exp1, lambda x: _upper_gamma(s, x)):
+        lo, hi = fn(np.array([below]))[0], fn(np.array([above]))[0]
+        assert abs(lo - hi) <= 2e-15 * lo
+
+
+def test_upper_gamma_at_one_is_exp():
+    assert np.max(np.abs(_upper_gamma(1.0, _GRID) / np.exp(-_GRID) - 1.0)) <= 4e-15
+
+
+@pytest.mark.parametrize("s", [0.5, 0.6, 0.75])
+def test_upper_gamma_recurrence(s):
+    # Gamma(s + 1, x) = s Gamma(s, x) + x^s e^{-x}  (DLMF 8.8.2)
+    lhs = _upper_gamma(s + 1.0, _GRID)
+    rhs = s * _upper_gamma(s, _GRID) + _GRID ** s * np.exp(-_GRID)
+    assert np.max(np.abs(lhs / rhs - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("s", [0.5, 0.75, 1.0, 1.25, 1.5])
+def test_special_functions_match_scipy(s):
+    special = pytest.importorskip("scipy.special")
+    assert np.max(np.abs(_exp1(_GRID) / special.exp1(_GRID) - 1.0)) <= 1e-13
+    reference = special.gammaincc(s, _GRID) * special.gamma(s)
+    assert np.max(np.abs(_upper_gamma(s, _GRID) / reference - 1.0)) <= 1e-13
 
 
 # -- completed function and the sign arbiter -----------------------------------
@@ -185,6 +241,18 @@ def test_lambda_symmetry_detects_wrong_sign(f37):
         al_sign=-f37.al_sign, an=f37.an, source=f37.source,
     )
     assert lambda_symmetry_residual(flipped, 0.1) > 1e-5
+
+
+def test_completed_lambda_refuses_too_few_coefficients(f37):
+    # 37a cut to 20 coefficients read a residual of 4.0e-8 when the sum was
+    # cut silently, which looked like a wrong sign; split 1.3 needs 58 terms
+    short = f37.truncated(20)
+    with pytest.raises(InsufficientCoefficients) as exc:
+        lambda_symmetry_residual(short, 0.25)
+    assert exc.value.required == 58
+    with pytest.raises(InsufficientCoefficients):
+        completed_lambda(short, 1.25)
+    assert lambda_symmetry_residual(f37.truncated(58), 0.25) <= 1e-10
 
 
 def test_lambda_split_independence(f37):
@@ -296,8 +364,24 @@ def test_omega_f_sq_height_combination():
 # -- tail bounds --------------------------------------------------------------
 
 
+# the series length for each catalog level and twist (none, -3, -4)
+_SERIES_LENGTHS = {
+    37: (28, 87, 118), 43: (30, 94, 127), 53: (34, 105, 142), 61: (36, 113, 152),
+    79: (42, 129, 174), 83: (43, 133, 178), 101: (47, 147, 198), 131: (54, 168, 226),
+}
+
+
 def test_tail_bounds_monotone_and_honest(f37):
-    from eischow.lseries import central_series_tail
+    for level, lengths in _SERIES_LENGTHS.items():
+        for twist, expected in zip((1, -3, -4), lengths):
+            cond = level * twist * twist
+            m = _series_terms(f37, cond)
+            assert m == expected
+            # the smallest M whose certified tail meets the tolerance
+            assert central_series_tail(cond, m) <= SERIES_TOL < central_series_tail(cond, m - 1)
+    with pytest.raises(InsufficientCoefficients) as exc:
+        _series_terms(f37.truncated(100), 37 * 16)
+    assert exc.value.required == 118
 
     bounds = [central_series_tail(37 * 16, m) for m in (20, 40, 80, 160)]
     assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
