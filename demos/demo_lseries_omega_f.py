@@ -13,18 +13,10 @@ import tempfile
 from pathlib import Path
 
 from eischow import ingest, omega_f_sq
+from eischow.gamma0 import primes_upto
 from eischow.lseries import lambda_symmetry_residual
 
 COUNT = 1200
-
-
-def primes_upto(m):
-    sieve = [True] * (m + 1)
-    sieve[0] = sieve[1] = False
-    for i in range(2, int(m ** 0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
-    return [i for i, flag in enumerate(sieve) if flag]
 
 
 def ap_37a(p):

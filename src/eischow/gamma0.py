@@ -9,10 +9,19 @@ place in the package that decides primality or factors an integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from math import isqrt
 
 from .errors import NonSquarefree, NotADivisor
 
-__all__ = ["Gamma0Data", "invariants", "genus_quotient", "is_prime", "squarefree_factorization"]
+__all__ = [
+    "Gamma0Data",
+    "invariants",
+    "genus_quotient",
+    "is_prime",
+    "primes_upto",
+    "squarefree_factorization",
+]
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,18 @@ def _least_divisor(n: int, d: int = 2) -> int:
 def is_prime(n: int) -> bool:
     """True when the integer n is prime (trial division by 2 and odd d <= sqrt n)."""
     return n >= 2 and _least_divisor(n) == n
+
+
+def primes_upto(m: int) -> list[int]:
+    """The primes p <= m in increasing order (sieve of Eratosthenes)."""
+    if m < 2:
+        return []
+    sieve = bytearray([1]) * (m + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(m) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
+    return list(compress(range(m + 1), sieve))
 
 
 def squarefree_factorization(N: int) -> tuple[int, ...]:

@@ -20,14 +20,18 @@ Numerical methods are standard: exponentially convergent series with
 incomplete-gamma/exponential-integral kernels for the L-values (E_1 and
 Gamma(s, x) are computed here, by power series below SPECIAL_SWITCH and
 continued fractions above it), and
-Gauss-Legendre quadrature over coset translates of the level-one
-fundamental domain for the Petersson integral (prime level, using the
-Fricke involution to fold the slash translates back to q-expansions).
-The N translates f((z+j)/N) are summed together by Parseval over Z/N:
+a split of the fundamental domain for the Petersson integral (prime level,
+using the Fricke involution to fold the slash translates of the level-one
+domain back to q-expansions).  Above Im z = 1 the level-one domain covers
+a whole period in x and the N translates together tile one, so Parseval
+gives both cusp strips in closed form; only the arc region F_low = {|x| <= 1/2,
+sqrt(1 - x^2) <= y <= 1} takes Gauss-Legendre quadrature, at a cost of
+O(order^2 (M + N)) with M the coefficient cutoff.  There the N translates
+f((z+j)/N) are summed together by Parseval over Z/N:
 splitting the coefficients by n mod N turns the sum of N squared moduli
-into N residue-class series in W = e^{2 pi i z} of about M/N terms each
-(M the coefficient cutoff), so a quadrature node costs O(M + N), not
-O(N M).  Tail bounds use |a_n| <= d(n) sqrt(n) <= 2n.
+into N residue-class series in W = e^{2 pi i z} of about M/N terms each,
+so a quadrature node costs O(M + N), not O(N M).  Tail bounds use
+|a_n| <= d(n) sqrt(n) <= 2n.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .errors import (
     QuadratureNotConverged,
     WrongSign,
 )
-from .gamma0 import is_prime
+from .gamma0 import is_prime, primes_upto
 from .qexp import QExpansion
 
 __all__ = [
@@ -67,10 +71,6 @@ __all__ = [
 
 # tail bound of every L-series sum
 SERIES_TOL = 1e-12
-# Petersson truncation heights: Im z = Y_MAIN on the level-one domain,
-# Im z = Y_FACTOR * N on the translates
-Y_MAIN = 8.0
-Y_FACTOR = 3.0
 # functional-equation gate of omega_f_sq: |Lambda(1+t) - eps Lambda(1-t)| at t
 SIGN_GATE_T = 0.25
 SIGN_GATE_TOL = 1e-8
@@ -124,35 +124,29 @@ def _validate(label, level, weight, al_sign, an):
     if not an or an[0] != 1:
         raise InvariantViolation("a_1 must be 1 (normalized newform)", index=1)
     m = len(an)
-
-    def a(n):
-        return an[n - 1]
-
-    primes = [p for p in range(2, m + 1) if is_prime(p)]
+    primes = primes_upto(m)
     # full multiplicativity check within precision
     for p in primes:
+        ap = an[p - 1]
         for n in range(2, m // p + 1):
-            if n % p == 0:
-                continue
-            if a(p * n) != a(p) * a(n):
+            if n % p and an[p * n - 1] != ap * an[n - 1]:
                 raise InvariantViolation(
                     f"multiplicativity fails at n = {p * n}", index=p * n
                 )
     # Hecke recursion at prime powers
     for p in primes:
-        k = 2
-        while p ** k <= m:
-            n = p ** k
-            if p == level:
-                expected = a(p) * a(n // p)
-            else:
-                expected = a(p) * a(n // p) - p * a(n // p // p)
-            if a(n) != expected:
+        ap = an[p - 1]
+        n = p
+        while n * p <= m:
+            expected = ap * an[n - 1]
+            if p != level:
+                expected -= p * an[n // p - 1]
+            n *= p
+            if an[n - 1] != expected:
                 raise InvariantViolation(f"Hecke recursion fails at n = {n}", index=n)
-            k += 1
     # Ramanujan bound |a_p| <= 2 sqrt(p), which every tail bound here assumes
     for p in primes:
-        if a(p) * a(p) > 4 * p:
+        if an[p - 1] * an[p - 1] > 4 * p:
             raise InvariantViolation(f"|a_{p}| exceeds 2 sqrt({p})", index=p)
 
 
@@ -482,14 +476,12 @@ def _mapped(rule, lo, hi):
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-def _coefficient_cutoff(an, y_min: float, rel: float = 1e-16) -> int:
+def _coefficient_cutoff(y_min: float, rel: float = 1e-16) -> int:
     # smallest M with sum_{n>M} 2n e^{-2 pi n y_min} below rel * leading term
     c = 2.0 * math.pi * y_min
     m = 1
     while 2.0 * (m + 1) * math.exp(-c * (m + 1)) / (1.0 - math.exp(-c)) > rel * math.exp(-c):
         m += 1
-        if m >= len(an):
-            return len(an)
     return m
 
 
@@ -501,18 +493,33 @@ def _f_values(an: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out * q
 
 
+def _strip(an: np.ndarray, y0: float) -> float:
+    """integral_{y0}^inf integral_0^1 |f(x+iy)|^2 dx dy = (1/4 pi) sum_n a_n^2/n e^{-4 pi n y0},
+
+    by Parseval in x over one period.
+    """
+    n = np.arange(1, an.size + 1)
+    return float(np.sum(an * an / n * np.exp((-4.0 * np.pi * y0) * n))) / (4.0 * math.pi)
+
+
 def _petersson_once(f: EigenformData, quad_order: int) -> float:
     N = f.level
     # coset translates ST^j fold back to f((z+j)/N)/N via the Fricke involution,
-    # so all evaluations use the q-expansion at Im >= sqrt(3)/(2N)
-    cutoff = _coefficient_cutoff(f.an, math.sqrt(3.0) / (2.0 * N))
+    # so all evaluations use the q-expansion at Im >= sqrt(3)/(2N); the
+    # level-one domain lies at Im >= sqrt(3)/2, where a few terms suffice
+    cutoff = _require(
+        f, _coefficient_cutoff(math.sqrt(3.0) / (2.0 * N)), "the Petersson quadrature"
+    )
     an = np.array(f.an[:cutoff], dtype=float)
-    rule, rule2 = leggauss(quad_order), leggauss(2 * quad_order)
+    an1 = an[:_coefficient_cutoff(math.sqrt(3.0) / 2.0)]
+    # above y = 1 both parts cover whole periods in x: the level-one domain
+    # directly, the translates as (x+j)/N tiling [-1/(2N), 1 - 1/(2N)] above 1/N
+    total = _strip(an1, 1.0) + _strip(an, 1.0 / N)
+    # F_low = {|x| <= 1/2, sqrt(1 - x^2) <= y <= 1}: one rule in x, the same in y
+    rule = leggauss(quad_order)
     xs, wx = _mapped(rule, -0.5, 0.5)
-    y_min = np.sqrt(1.0 - xs * xs)
-    # level-one domain: every x-node in one Horner pass over an (order x order) array
-    ys, wy = _mapped(rule, y_min[:, None], Y_MAIN)
-    main = np.sum(wy * np.abs(_f_values(an, xs[:, None] + 1j * ys)) ** 2, axis=1)
+    ys, wy = _mapped(rule, np.sqrt(1.0 - xs * xs)[:, None], 1.0)
+    main = np.sum(wy * np.abs(_f_values(an1, xs[:, None] + 1j * ys)) ** 2, axis=1)
     # translates: with w = e^{2 pi i z/N}, W = w^N and B[k, r] = a_{r+kN} (a_0 = 0),
     # Parseval over Z/N gives sum_j |f((z+j)/N)|^2 / N^2
     #   = (1/N) sum_r |w|^{2r} |sum_k B[k, r] W^k|^2
@@ -520,47 +527,54 @@ def _petersson_once(f: EigenformData, quad_order: int) -> float:
     blocks[1:cutoff + 1] = an
     blocks = blocks.reshape(-1, N)
     r = np.arange(N)
-    y_top = Y_FACTOR * N
-    total = 0.0
-    for x, w, lo, inner in zip(xs, wx, y_min, main):
-        total += w * inner
-        ys2, wy2 = _mapped(rule2, lo, y_top)
-        big_w = np.exp(2j * np.pi * (x + 1j * ys2))[:, None]
-        # Horner in W, in place: a fresh (2 order x N) temporary per step costs more than the step
-        folded = np.empty((ys2.size, N), dtype=complex)
+    for x, w, y, wy_x, inner in zip(xs, wx, ys, wy, main):
+        big_w = np.exp(2j * np.pi * (x + 1j * y))[:, None]
+        # Horner in W, in place: a fresh (order x N) temporary per step costs more than the step
+        folded = np.empty((y.size, N), dtype=complex)
         folded[:] = blocks[-1]
         for row in blocks[-2::-1]:
             folded *= big_w
             folded += row
-        decay = np.exp((-4.0 * np.pi / N) * ys2[:, None] * r)
+        decay = np.exp((-4.0 * np.pi / N) * y[:, None] * r)
         classes = np.sum(decay * np.abs(folded) ** 2, axis=1)
-        total += w * float(np.sum(wy2 * classes)) / N
+        total += w * (inner + float(np.sum(wy_x * classes)) / N)
     return float(total)
 
 
-def petersson(f: EigenformData, quad_order: int = 48, rtol: float = 1e-5) -> float:
+def petersson(f: EigenformData, quad_order: int = 24, rtol: float = 1e-5) -> float:
     """Petersson norm (f,f) = integral over a fundamental domain of |f|^2 dx dy.
 
     Unnormalized (Gross-Zagier) convention; weight 2 makes the hyperbolic
     weight y^2 cancel the measure.  The domain is the union of the level-one
-    domain and its ST^j translates (prime level), truncated at Im z = Y_MAIN
-    and Y_FACTOR * N respectively; both truncation tails are exponentially
-    certified and far below rtol.  Raises
+    domain F and its ST^j translates (prime level), which fold back to
+    sum_j |f((z+j)/N)|^2 / N^2 over F.  It is split at y = 1:
+
+    * above y = 1, F is a whole period in x, and so are the translates,
+      whose strips (x+j)/N tile [-1/(2N), 1 - 1/(2N)] above y' = 1/N.
+      Parseval in x gives both strips exactly,
+      (1/4 pi) sum_n a_n^2/n (e^{-4 pi n} + e^{-4 pi n/N});
+    * below it, F_low = {|x| <= 1/2, sqrt(1 - x^2) <= y <= 1} takes
+      Gauss-Legendre quadrature, one rule of order quad_order in x and the
+      same rule in y.
+
+    Nothing is truncated in y.  Raises InsufficientCoefficients (carrying
+    the cutoff M ~ 8.5 N at which the q-expansion tail drops below 1e-16 at
+    Im z = sqrt(3)/(2N)) when f stores fewer coefficients, and
     QuadratureNotConverged when the half-order companion rule moves the
     result by more than rtol relative (that difference is a conservative
     error estimate for the returned full-order value).
 
-    Each pass builds its two Gauss-Legendre rules (orders quad_order and
-    2 quad_order) once and maps them onto every interval.  The level-one
-    domain is one Horner evaluation over all nodes.  On the translates,
-    with w = e^{2 pi i z/N}, W = w^N and B[k, r] = a_{r+kN},
+    On F_low the level-one part is one Horner evaluation over all nodes with
+    its own cutoff (8 terms).  On the translates, with w = e^{2 pi i z/N},
+    W = w^N and B[k, r] = a_{r+kN},
 
         sum_j |f((z+j)/N)|^2 / N^2 = (1/N) sum_r |w|^{2r} |sum_k B[k, r] W^k|^2,
 
-    a Horner pass of about M/N steps over the N residue classes.  A pass
-    therefore costs O(quad_order^2 (M + N)), with M ~ 8.5 N the
-    coefficient cutoff.  One order-48 pass takes about 20 ms at N = 37
-    and 55 ms at N = 131 on a 2-core x86-64 host.
+    a Horner pass of about M/N steps over the N residue classes, one x-node
+    at a time, so no temporary grows past (quad_order x N).  A pass
+    therefore costs O(quad_order^2 (M + N)) on F_low only.  A call at the
+    default order (passes at 12 and 24) takes about 4 ms at N = 37 and
+    6 ms at N = 131 on a 2-core x86-64 host.
     """
     if all(a == 0 for a in f.an):
         return 0.0
@@ -572,14 +586,6 @@ def petersson(f: EigenformData, quad_order: int = 48, rtol: float = 1e-5) -> flo
         raise QuadratureNotConverged(
             f"Petersson quadrature moved by {abs(fine - coarse):.3e} at order {quad_order}"
         )
-    # certified truncation tails: |f(x+iy)| <= A(y) = sum 2n e^{-2 pi n y}
-    def _amp(y):
-        e = math.exp(-2.0 * math.pi * y)
-        return 2.0 * e / (1.0 - e) ** 2
-
-    tail = _amp(Y_MAIN) ** 2 / (4.0 * math.pi) + _amp(Y_FACTOR) ** 2 / (4.0 * math.pi)
-    if tail > rtol * abs(fine):
-        raise QuadratureNotConverged(f"truncation tail {tail:.3e} too large")
     return fine
 
 
@@ -619,10 +625,11 @@ def _combine_heights(h_i: float, h_j: float, tol: float) -> float:
         if h < -tol:
             raise NegativeHeightBeyondTolerance(f"{name} = {h:.3e} < -{tol:g}")
         clamped.append(max(h, 0.0))
-    return -((math.sqrt(clamped[0]) + 2.0 * math.sqrt(clamped[1])) ** 2)
+    # 0.0 - x, not -x: vanishing heights give 0.0, never -0.0
+    return 0.0 - (math.sqrt(clamped[0]) + 2.0 * math.sqrt(clamped[1])) ** 2
 
 
-def omega_f_sq(f: EigenformData, tol: float = 1e-9, quad_order: int = 48) -> OmegaFResult:
+def omega_f_sq(f: EigenformData, tol: float = 1e-9, quad_order: int = 24) -> OmegaFResult:
     """The isotypical invariant omega_f^2 = -(sqrt(h_i) + 2 sqrt(h_j))^2.
 
     Heights h_i, h_j from the module-level formulas; tiny negative values

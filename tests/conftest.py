@@ -1,10 +1,11 @@
-"""Shared fixtures: the internal level-11 form and generated level-37 and
-level-53 rank-one datasets.
+"""Shared fixtures: the internal level-11 form and generated level-37,
+level-53 and level-131 rank-one datasets.
 
 The level-37 coefficients are produced by counting points on the rank-one
 optimal quotient of J_0(37), the curve y^2 + y = x^3 - x of conductor 37,
 and extending multiplicatively; the level-53 form comes from
-y^2 + xy + y = x^3 - x^2 the same way.  The generator is the test suite's
+y^2 + xy + y = x^3 - x^2 and the level-131 form from
+y^2 + y = x^3 - x^2 + x the same way.  The generator is the test suite's
 oracle for an "ingested" dataset: the package itself never fabricates
 eigenforms, and the ingest path re-validates every structural invariant
 (a_1 = 1, multiplicativity, Hecke recursion) before the data is used.  A handful of
@@ -28,6 +29,7 @@ COEFF_COUNT = 2400
 # Weierstrass models [a1, a2, a3, a4, a6] of discriminant +-N
 CURVE_37A = (0, 0, 1, -1, 0)  # y^2 + y = x^3 - x
 CURVE_53A = (1, -1, 1, 0, 0)  # y^2 + xy + y = x^3 - x^2
+CURVE_131A = (0, -1, 1, 1, 0)  # y^2 + y = x^3 - x^2 + x
 
 # frozen by the point-count oracle below (and the Hecke recursion)
 FROZEN_37A_AP = {2: -2, 3: -3, 5: -2, 7: -1, 11: -5, 13: -2, 17: 0, 19: 0, 23: 2, 29: 6}
@@ -112,6 +114,16 @@ def f53() -> EigenformData:
     ap = {p: _ap_weierstrass(CURVE_53A, p) for p in _primes_upto(count)}
     return EigenformData(label="53a", level=53, weight=2, al_sign=1,
                          an=tuple(extend_an(ap, count, 53)), source="ingested")
+
+
+@pytest.fixture(scope="session")
+def f131() -> EigenformData:
+    """The rank-one form of level 131, with enough coefficients for its
+    Petersson cutoff (1151)."""
+    count = 1200
+    ap = {p: _ap_weierstrass(CURVE_131A, p) for p in _primes_upto(count)}
+    return EigenformData(label="131a", level=131, weight=2, al_sign=1,
+                         an=tuple(extend_an(ap, count, 131)), source="ingested")
 
 
 @pytest.fixture(scope="session")

@@ -204,8 +204,9 @@ def test_criterion_8_l_series_evaluator(f37, f11):
 
 def test_criterion_9_omega_f_pipeline(f37):
     t0 = time.perf_counter()
-    base = omega_f_sq(f37.truncated(300), quad_order=48)
-    refined = omega_f_sq(f37.truncated(600), quad_order=96)
+    # 308 coefficients is the Petersson cutoff at level 37
+    base = omega_f_sq(f37.truncated(308), quad_order=48)
+    refined = omega_f_sq(f37.truncated(616), quad_order=96)
     assert refined.omega_f_sq <= 0.0
     assert math.isfinite(refined.omega_f_sq)
     rel = abs(refined.omega_f_sq - base.omega_f_sq) / abs(refined.omega_f_sq)

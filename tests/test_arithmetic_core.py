@@ -8,7 +8,7 @@ import pytest
 
 from eischow import eis, gamma0, hecke, qexp
 from eischow.errors import LevelNotCoprimeTo6, NonSquarefree
-from eischow.gamma0 import is_prime, squarefree_factorization
+from eischow.gamma0 import is_prime, primes_upto, squarefree_factorization
 from eischow.symbolic import KAPPA, LOG, SymbolicReal
 
 
@@ -106,3 +106,11 @@ def test_symbols_checked_once_where_they_enter(count_calls):
     calls.clear()
     v.coefficient("LOG(37)")
     assert calls == [(37,)]
+
+
+def test_primes_upto_against_is_prime():
+    expected = []
+    for m in range(-1, 3001):
+        if is_prime(m):
+            expected.append(m)
+        assert primes_upto(m) == expected, m

@@ -95,6 +95,21 @@ def test_omega_f_command(capsys, eigenform_37_path):
     assert obj["h_i"] >= 0 and obj["h_j"] >= 0
 
 
+def test_omega_f_command_level_131(capsys, tmp_path, f131):
+    # exited 1 with QuadratureNotConverged while the Petersson quadrature
+    # integrated the cusp strips numerically
+    path = tmp_path / "eigenform_131a.jsonl"
+    record = {"label": "131a", "level": 131, "weight": 2, "al_sign": 1, "an": list(f131.an)}
+    path.write_text(json.dumps(record) + "\n")
+    code, out, err = run_capture(capsys, ["omega-f", "--eigenform", str(path), "--format", "json"])
+    assert code == 0, err
+    assert json.dumps(json.loads(out), separators=(",", ":")) + "\n" == out
+    obj = json.loads(out)
+    assert obj["label"] == "131a" and obj["petersson"] > 0
+    # both twisted central values vanish at 131a: omega_f^2 prints as 0.0, not -0.0
+    assert '"omega_f_sq":0.0,' in out
+
+
 def test_verify_analysis(capsys):
     code, out, _ = run_capture(capsys, ["verify-analysis", "--format", "json"])
     assert code == 0

@@ -18,13 +18,12 @@ from eischow.errors import (
 from eischow.lseries import (
     SERIES_TOL,
     SPECIAL_SWITCH,
-    Y_FACTOR,
-    Y_MAIN,
     EigenformData,
     _coefficient_cutoff,
     _exp1,
     _petersson_once,
     _series_terms,
+    _strip,
     _upper_gamma,
     central_series_tail,
     chi,
@@ -273,15 +272,18 @@ def test_petersson_zero_form():
 
 def test_petersson_positive_and_converged(f37):
     # doubling the quadrature order from the default moves the value < 1e-6
-    fine = petersson(f37, quad_order=48)
-    finer = petersson(f37, quad_order=96)
+    fine = petersson(f37)
+    finer = petersson(f37, quad_order=48)
     assert fine > 0.0
     assert abs(finer - fine) < 1e-6 * finer
 
 
-def _petersson_by_translates(f, quad_order):
-    """Reference pass: f evaluated at every translate (z+j)/N, one Horner
-    per x-node, the N values squared and summed directly."""
+def _petersson_by_translates(f, quad_order, low, tops):
+    """Reference pass over {|x| <= 1/2, low(x) <= y}: Gauss-Legendre in x,
+    and in y up to tops[0] (order quad_order) for |f(z)|^2 and up to tops[1]
+    (order 2 quad_order) for the N translates, with f evaluated at every
+    translate (z+j)/N, one Horner per x-node, the N values squared and
+    summed directly.  Returns the level-one part and the translate part."""
 
     def gauss(n, lo, hi):
         x, w = np.polynomial.legendre.leggauss(n)
@@ -295,35 +297,65 @@ def _petersson_by_translates(f, quad_order):
         return out * q
 
     N = f.level
-    an = np.array(f.an[:_coefficient_cutoff(f.an, math.sqrt(3.0) / (2.0 * N))], dtype=float)
+    an = np.array(f.an[:_coefficient_cutoff(math.sqrt(3.0) / (2.0 * N))], dtype=float)
     xs, wx = gauss(quad_order, -0.5, 0.5)
-    total = 0.0
+    level_one = translates = 0.0
     for x, w in zip(xs, wx):
-        y_min = math.sqrt(1.0 - x * x)
-        ys, wy = gauss(quad_order, y_min, Y_MAIN)
-        total += w * float(np.sum(wy * np.abs(f_values(an, x + 1j * ys)) ** 2))
-        ys2, wy2 = gauss(2 * quad_order, y_min, Y_FACTOR * N)
+        ys, wy = gauss(quad_order, low(x), tops[0])
+        level_one += w * float(np.sum(wy * np.abs(f_values(an, x + 1j * ys)) ** 2))
+        ys2, wy2 = gauss(2 * quad_order, low(x), tops[1])
         z = (x + 1j * ys2)[:, None] + np.arange(N)[None, :]
         vals = np.abs(f_values(an, z / N)) ** 2
-        total += w * float(np.sum(wy2 * np.sum(vals, axis=1))) / N ** 2
-    return total
+        translates += w * float(np.sum(wy2 * np.sum(vals, axis=1))) / N ** 2
+    return level_one, translates
+
+
+def _arc(x):
+    return math.sqrt(1.0 - x * x)
+
+
+def _strips(f):
+    """The closed-form level-one and translate strips above y = 1."""
+    an = np.array(f.an[:_coefficient_cutoff(math.sqrt(3.0) / (2.0 * f.level))], dtype=float)
+    return _strip(an, 1.0), _strip(an, 1.0 / f.level)
+
+
+def test_petersson_strips_match_quadrature(f37):
+    # Parseval's strips above y = 1 against a 2-D Gauss quadrature of the
+    # same strips, cut at heights 8 and 3N, where the tails are 6e-39 and
+    # 1e-17 of the strips
+    N = f37.level
+    quadrature = _petersson_by_translates(f37, 64, lambda x: 1.0, (8.0, 3.0 * N))
+    for closed, numeric in zip(_strips(f37), quadrature):
+        assert abs(closed - numeric) <= 1e-12 * numeric
 
 
 @pytest.mark.parametrize("level", [11, 37, 53])
 @pytest.mark.parametrize("order", [24, 48])
 def test_petersson_fold_matches_translate_sum(level, order, f11, f37, f53):
-    # the Parseval fold over Z/N against the direct sum over all N translates
+    # the Parseval fold over Z/N on F_low against the direct sum over all N
+    # translates there, plus the two strips above y = 1
     f = {11: f11, 37: f37, 53: f53}[level]
     folded = _petersson_once(f, order)
-    direct = _petersson_by_translates(f, order)
+    direct = sum(_petersson_by_translates(f, order, _arc, (1.0, 1.0))) + sum(_strips(f))
     assert abs(folded - direct) <= 1e-14 * direct
+
+
+# order-384 values of the full-domain quadrature truncated at Im z = 8 and 3N
+_PETERSSON_384 = {37: 0.37175414751016544, 53: 0.36585742302129565, 131: 0.3133247095119911}
+
+
+def test_petersson_matches_pinned_references(f37, f53, f131):
+    for f in (f37, f53, f131):
+        reference = _PETERSSON_384[f.level]
+        assert abs(petersson(f) - reference) <= 1e-11 * reference
 
 
 def test_petersson_builds_each_gauss_rule_once_per_pass(f37, count_calls):
     calls = count_calls(leggauss)
-    petersson(f37, quad_order=48)
-    # two passes (orders 24 and 48), each with its rule and the double-order rule
-    assert sorted(calls) == [(24,), (48,), (48,), (96,)]
+    petersson(f37)
+    # two passes (orders 12 and 24), each with one rule for x and y alike
+    assert sorted(calls) == [(12,), (24,)]
 
 
 def test_petersson_rejects_hopeless_order(f37):
@@ -331,6 +363,15 @@ def test_petersson_rejects_hopeless_order(f37):
 
     with pytest.raises(QuadratureNotConverged):
         petersson(f37, quad_order=8, rtol=1e-6)
+
+
+def test_petersson_refuses_too_few_coefficients(f37):
+    # cut to 120 coefficients, 37a gave omega_f^2 wrong in the 11th digit when
+    # the q-expansion was cut silently; its cutoff at Im z = sqrt(3)/74 is 308
+    with pytest.raises(InsufficientCoefficients) as exc:
+        petersson(f37.truncated(120))
+    assert exc.value.required == 308
+    assert petersson(f37.truncated(308)) == petersson(f37)
 
 
 # -- omega_f^2 --------------------------------------------------------------------
@@ -346,6 +387,16 @@ def test_omega_f_sq_level_37(f37):
     assert res.l_prime == l_derivative(f37)
 
 
+def test_omega_f_sq_converges_from_level_53(f53, f131):
+    # both raised QuadratureNotConverged at the defaults before the strips
+    # above y = 1 were taken in closed form
+    for f in (f53, f131):
+        res = omega_f_sq(f)
+        # at 131a both twisted central values vanish, so omega_f^2 is 0
+        assert res.omega_f_sq <= 0.0 and res.petersson > 0.0
+        assert all(math.isfinite(v) for v in res.to_json_obj().values())
+
+
 def test_omega_f_sq_wrong_sign(f11):
     with pytest.raises(WrongSign):
         omega_f_sq(f11)
@@ -355,7 +406,8 @@ def test_omega_f_sq_height_combination():
     from eischow.errors import NegativeHeightBeyondTolerance
     from eischow.lseries import _combine_heights
 
-    assert _combine_heights(0.0, 0.0, 1e-9) == 0.0
+    zero = _combine_heights(0.0, 0.0, 1e-9)
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
     assert _combine_heights(-1e-12, 4.0, 1e-9) == -16.0
     with pytest.raises(NegativeHeightBeyondTolerance):
         _combine_heights(-1e-3, 0.0, 1e-9)
