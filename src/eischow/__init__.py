@@ -4,7 +4,8 @@ arithmetic Chow group of the modular curves X_0(N), N squarefree.
 Subpackages by capability:
 
 * ``gamma0``     invariants of Gamma_0(N) (index, elliptic points, cusps, genus),
-                 and the package's one primality test and factorization
+                 the package's one primality test and factorization, and the
+                 characters chi_-3 and chi_-4
 * ``symbolic``   exact arithmetic over the basis ONE, KAPPA, LOG(p)
 * ``eis``        the Eisenstein basis, its Gram matrix, W-hat and omega_Eis^2
 * ``hecke``      T-hat_l and w-hat_d with self-adjointness and commutation tests
@@ -21,7 +22,7 @@ first use of one of their names here (``eischow.omega_f_sq``,
 
 import importlib
 
-from .gamma0 import Gamma0Data, genus_quotient, invariants
+from .gamma0 import Gamma0Data, chi, genus_quotient, invariants
 from .symbolic import KAPPA, LOG, ONE, SymbolicReal
 from .eis import (
     EisBasis,
@@ -48,14 +49,14 @@ from .qexp import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Gamma0Data", "invariants", "genus_quotient",
+    "Gamma0Data", "invariants", "genus_quotient", "chi",
     "SymbolicReal", "ONE", "KAPPA", "LOG",
     "EisBasis", "EisVector", "GramMatrix", "gram", "pair",
     "w_vector", "w_square", "omega_eis_vector", "omega_eis_sq",
     "EisOperator", "t_hat", "w_hat", "is_self_adjoint", "commutator_is_zero",
     "QExpansion", "EtaQuotient", "eta_expand", "hecke_q",
     "HeegnerDivisor", "heegner_points", "canonical_decomposition",
-    "EigenformData", "ingest", "chi", "l_value", "l_derivative",
+    "EigenformData", "ingest", "l_value", "l_derivative",
     "petersson", "omega_f_sq",
     "DiscGrid", "DiscFunction", "seminorm1", "verification_report",
     "__version__",
@@ -64,7 +65,7 @@ __all__ = [
 # names served from the numpy layers, which load on first access (PEP 562)
 _LAZY = {
     **dict.fromkeys(
-        ("EigenformData", "chi", "ingest", "l_derivative", "l_value", "omega_f_sq", "petersson"),
+        ("EigenformData", "ingest", "l_derivative", "l_value", "omega_f_sq", "petersson"),
         "lseries",
     ),
     **dict.fromkeys(("DiscFunction", "DiscGrid", "seminorm1", "verification_report"), "disc"),

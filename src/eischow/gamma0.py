@@ -3,7 +3,8 @@
 The whole package parameterizes its formulas by the index psi(N), the
 elliptic-point counts nu2, nu3, the cusp count, and the genus of X_0(N).
 Everything here is exact integer arithmetic, and this module is the only
-place in the package that decides primality or factors an integer.
+place in the package that decides primality, factors an integer or
+evaluates the quadratic characters chi_-3 and chi_-4.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import NonSquarefree, NotADivisor
 
 __all__ = [
     "Gamma0Data",
+    "chi",
     "invariants",
     "genus_quotient",
     "is_prime",
@@ -90,25 +92,30 @@ def squarefree_factorization(N: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _nu2_factor(p: int) -> int:
-    # number of solutions of x^2 + 1 = 0 in F_p
-    if p == 2:
-        return 1
-    return 2 if p % 4 == 1 else 0
+_CHI_M4 = {0: 0, 1: 1, 2: 0, 3: -1}
+_CHI_M3 = {0: 0, 1: 1, 2: -1}
 
 
-def _nu3_factor(p: int) -> int:
-    # number of solutions of x^2 + x + 1 = 0 in F_p
-    if p == 3:
-        return 1
-    return 2 if p % 3 == 1 else 0
+def chi(disc: int, n: int) -> int:
+    """The quadratic character of conductor |disc| for disc in {-3, -4}.
+
+    This is the Kronecker symbol (disc/n): period 4 with values 1, -1 at
+    1, 3 mod 4 for disc = -4; period 3 with values 1, -1 at 1, 2 mod 3 for
+    disc = -3.  Defined on all integers; both characters are odd.
+    """
+    if disc == -4:
+        return _CHI_M4[n % 4]
+    if disc == -3:
+        return _CHI_M3[n % 3]
+    raise ValueError(f"disc must be -3 or -4, got {disc}")
 
 
 def invariants(N: int) -> Gamma0Data:
     """Compute the Gamma_0(N) invariants for squarefree N >= 1.
 
-    psi(N) = N * prod_{p|N} (1 + 1/p); nu2 and nu3 come from the standard
-    Legendre-symbol products; for squarefree N the cusp count is 2^(number
+    psi(N) = N * prod_{p|N} (1 + 1/p); nu2 = prod_{p|N} (1 + chi_-4(p)) and
+    nu3 = prod_{p|N} (1 + chi_-3(p)) count the roots of x^2 + 1 and
+    x^2 + x + 1 mod N; for squarefree N the cusp count is 2^(number
     of prime divisors).  The genus is
 
         g = 1 + psi/12 - nu2/4 - nu3/3 - cusps/2,
@@ -124,8 +131,8 @@ def _from_primes(N: int, primes: tuple[int, ...]) -> Gamma0Data:
     nu3 = 1
     for p in primes:
         psi *= p + 1
-        nu2 *= _nu2_factor(p)
-        nu3 *= _nu3_factor(p)
+        nu2 *= 1 + chi(-4, p)
+        nu3 *= 1 + chi(-3, p)
     cusps = 2 ** len(primes)
     twelve_g = 12 + psi - 3 * nu2 - 4 * nu3 - 6 * cusps
     if twelve_g % 12:

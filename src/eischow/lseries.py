@@ -52,7 +52,7 @@ from .errors import (
     QuadratureNotConverged,
     WrongSign,
 )
-from .gamma0 import is_prime, primes_upto
+from .gamma0 import chi, is_prime, primes_upto
 from .qexp import QExpansion
 
 __all__ = [
@@ -112,7 +112,7 @@ class EigenformData:
         )
 
 
-def _validate(label, level, weight, al_sign, an):
+def _validate(level, weight, al_sign, an):
     if weight != 2:
         raise ParseError(f"only weight 2 is supported, got {weight}")
     if not is_prime(level):
@@ -193,7 +193,7 @@ def ingest(path, label: str | None = None) -> EigenformData:
     for key in ("level", "weight", "al_sign"):
         if type(obj[key]) is not int:
             raise ParseError(f"line {lineno}: {key!r} must be an integer, got {obj[key]!r}")
-    _validate(obj["label"], obj["level"], obj["weight"], obj["al_sign"], an)
+    _validate(obj["level"], obj["weight"], obj["al_sign"], an)
     return EigenformData(
         label=str(obj["label"]),
         level=int(obj["level"]),
@@ -207,7 +207,7 @@ def ingest(path, label: str | None = None) -> EigenformData:
 def from_qexpansion(f: QExpansion, label: str, al_sign: int) -> EigenformData:
     """Wrap an exact q-expansion (e.g. an eta product) as eigenform data."""
     an = tuple(int(c) for c in f.coeffs)
-    _validate(label, f.level, f.weight, al_sign, an)
+    _validate(f.level, f.weight, al_sign, an)
     return EigenformData(
         label=label,
         level=f.level,
@@ -216,24 +216,6 @@ def from_qexpansion(f: QExpansion, label: str, al_sign: int) -> EigenformData:
         an=an,
         source="eta-generated",
     )
-
-
-_CHI_M4 = {0: 0, 1: 1, 2: 0, 3: -1}
-_CHI_M3 = {0: 0, 1: 1, 2: -1}
-
-
-def chi(disc: int, n: int) -> int:
-    """The quadratic character of conductor |disc| for disc in {-3, -4}.
-
-    This is the Kronecker symbol (disc/n): period 4 with values 1, -1 at
-    1, 3 mod 4 for disc = -4; period 3 with values 1, -1 at 1, 2 mod 3 for
-    disc = -3.  Defined on all integers; both characters are odd.
-    """
-    if disc == -4:
-        return _CHI_M4[n % 4]
-    if disc == -3:
-        return _CHI_M3[n % 3]
-    raise ValueError(f"disc must be -3 or -4, got {disc}")
 
 
 def _fe_sign(f: EigenformData) -> int:

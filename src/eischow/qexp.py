@@ -4,7 +4,9 @@ Heegner divisor bookkeeping.
 The eta quotient machinery is the package's only built-in cusp form
 generator; it covers the discriminant form eta(z)^24 of level 1 and the
 weight-2 level-11 generator eta(z)^2 eta(11z)^2.  Everything is integer
-arithmetic on truncated power series.
+arithmetic on truncated power series: a factor eta(d z)^r is |r| sparse
+passes over the pentagonal series prod_n (1 - q^{dn}), multiplying for
+r > 0 and dividing for r < 0, at O(|r| M sqrt(M/d)) for M coefficients.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import (
     BadHeckePrime,
@@ -116,33 +119,37 @@ def _euler_factor_sparse(d: int, M: int) -> list:
     return out
 
 
-def _mul_sparse(dense: list, sparse: list, M: int) -> list:
-    out = [0] * (M + 1)
+def _mul_sparse(dense: list, sparse: list) -> list:
+    """dense times the signed sparse series, truncated to len(dense)."""
+    out = [0] * len(dense)
     for e, s in sparse:
-        if s == 1:
-            for i in range(M + 1 - e):
-                out[i + e] += dense[i]
-        else:
-            for i in range(M + 1 - e):
-                out[i + e] -= dense[i]
+        out[e:] = map(add if s == 1 else sub, out[e:], dense)
     return out
 
 
-def _invert_series(a: list, M: int) -> list:
-    # inverse of a unit power series with a[0] = 1; integer coefficients stay integer
-    inv = [0] * (M + 1)
-    inv[0] = 1
-    for n in range(1, M + 1):
-        acc = 0
-        for k in range(1, n + 1):
-            if a[k]:
-                acc += a[k] * inv[n - k]
-        inv[n] = -acc
-    return inv
+def _div_sparse(num: list, sparse: list) -> list:
+    """num divided by the signed sparse series, truncated to len(num).
+
+    The series starts with (0, 1), so the forward recurrence
+    out[n] = num[n] - sum_{e > 0} s_e out[n - e] is exact in integers.
+    """
+    out = []
+    terms = sparse[1:]
+    for n, c in enumerate(num):
+        for e, s in terms:
+            if e > n:
+                break
+            c -= s * out[n - e]
+        out.append(c)
+    return out
 
 
 def eta_expand(q: EtaQuotient, M: int) -> QExpansion:
     """Exact integer coefficients a_1..a_M of the eta quotient.
+
+    Each factor eta(d z)^r takes |r| sparse passes over the pentagonal
+    series prod_n (1 - q^{dn}): a multiplication for r > 0, the division
+    recurrence for r < 0.  The cost is O(sum_d |r_d| M sqrt(M/d)).
 
     Rejects quotients whose leading power sum(d r_d)/24 is not a positive
     integer (FractionalLeadingPower) and quotients whose weight is not a
@@ -158,23 +165,11 @@ def eta_expand(q: EtaQuotient, M: int) -> QExpansion:
     if w.denominator != 1 or w <= 0 or w % 2 != 0:
         raise ValueError(f"weight {w} is not a positive even integer")
     t = int(t)
-    prod = [0] * (M + 1)
-    prod[0] = 1
+    prod = [1] + [0] * M
     for d, r in q.factors:
         sparse = _euler_factor_sparse(d, M)
-        if r > 0:
-            for _ in range(r):
-                prod = _mul_sparse(prod, sparse, M)
-        else:
-            dense = [0] * (M + 1)
-            dense[0] = 1
-            for _ in range(-r):
-                dense = _mul_sparse(dense, sparse, M)
-            inv = _invert_series(dense, M)
-            prod = [
-                sum(prod[i] * inv[n - i] for i in range(n + 1) if prod[i])
-                for n in range(M + 1)
-            ]
+        for _ in range(abs(r)):
+            prod = _mul_sparse(prod, sparse) if r > 0 else _div_sparse(prod, sparse)
     coeffs = [prod[n - t] if n >= t else 0 for n in range(1, M + 1)]
     return QExpansion(weight=int(w), level=q.level_lcm, coeffs=tuple(coeffs))
 

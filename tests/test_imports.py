@@ -66,6 +66,10 @@ def test_every_exported_name_resolves():
         eischow.no_such_name
 
 
+def test_chi_has_one_home():
+    assert eischow.chi is gamma0.chi is importlib.import_module("eischow.lseries").chi
+
+
 def test_count_calls_reaches_lazily_loaded_modules(count_calls):
     original = gamma0.is_prime
     count_calls(original)

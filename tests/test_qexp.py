@@ -22,12 +22,15 @@ from eischow.qexp import (
     heegner_points,
 )
 
+from conftest import _ap_weierstrass, _primes_upto, extend_an
+
 
 def eta_product_oracle(factors, M):
     """Naive truncated expansion of prod_d (q^{d/24} prod_n (1 - q^{dn}))^{r_d}.
 
-    Multiplies out every binomial factor one by one; independent of the
-    pentagonal-number fast path.  Positive exponents only.
+    Multiplies out (r_d > 0) or divides out (r_d < 0) every binomial factor
+    one by one; independent of the pentagonal-number fast path.  Dividing by
+    (1 - q^{dn}) is the in-place ascending step poly[i] += poly[i - dn].
     """
     shift = sum(d * r for d, r in factors)
     assert shift % 24 == 0
@@ -35,14 +38,18 @@ def eta_product_oracle(factors, M):
     poly = [0] * (M + 1)
     poly[0] = 1
     for d, r in factors:
-        assert r > 0
-        for _ in range(r):
+        for _ in range(abs(r)):
             for n in range(1, M // d + 1):
-                # multiply by (1 - q^{dn})
-                new = poly[:]
-                for i in range(M + 1 - d * n):
-                    new[i + d * n] -= poly[i]
-                poly = new
+                if r < 0:
+                    # divide by (1 - q^{dn})
+                    for i in range(d * n, M + 1):
+                        poly[i] += poly[i - d * n]
+                else:
+                    # multiply by (1 - q^{dn})
+                    new = poly[:]
+                    for i in range(M + 1 - d * n):
+                        new[i + d * n] -= poly[i]
+                    poly = new
     return [poly[n - shift] if n >= shift else 0 for n in range(1, M + 1)]
 
 
@@ -60,11 +67,28 @@ def test_level11_expansion_against_oracle():
     assert f.weight == 2 and f.level == 11
 
 
+def test_level11_expansion_matches_point_count():
+    # eta(z)^2 eta(11z)^2 is the newform of 11a: y^2 + y = x^3 - x^2 - 10x - 20
+    M = 1200
+    ap = {p: _ap_weierstrass((0, -1, 1, -10, -20), p) for p in _primes_upto(M)}
+    f = eta_expand(EtaQuotient(factors=((1, 2), (11, 2))), M)
+    assert list(f.coeffs) == extend_an(ap, M, 11)
+
+
 def test_negative_exponent_quotient():
     # eta(1)^48 / eta(1)^24 must reproduce Delta
-    delta = eta_expand(EtaQuotient(factors=((1, 24),)), 20)
-    quot = eta_expand(EtaQuotient(factors=((1, 48), (1, -24))), 20)
+    delta = eta_expand(EtaQuotient(factors=((1, 24),)), 400)
+    quot = eta_expand(EtaQuotient(factors=((1, 48), (1, -24))), 400)
     assert quot.coeffs == delta.coeffs
+
+
+def test_negative_exponent_against_oracle():
+    # eta(2z)^16 / eta(z)^8: weight 4, level 2, leading power q^1
+    factors = ((2, 16), (1, -8))
+    f = eta_expand(EtaQuotient(factors=factors), 120)
+    assert list(f.coeffs) == eta_product_oracle(factors, 120)
+    assert f.coeffs[:4] == (1, 8, 28, 64)
+    assert f.weight == 4 and f.level == 2
 
 
 def test_eta_rejections():
