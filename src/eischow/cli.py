@@ -170,7 +170,8 @@ def _cmd_omega_f(args) -> dict:
 def _cmd_verify_analysis(args) -> dict:
     from . import disc
 
-    return disc.verification_report(tol=args.tolerance)
+    tol = disc.DEFAULT_TOL if args.tolerance is None else args.tolerance
+    return disc.verification_report(tol=tol)
 
 
 def _verify_table(obj):
@@ -220,7 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "below -TOL is an error; does not set the series or quadrature accuracy")
     p = sub.add_parser("verify-analysis", help="run the disc-identity regression gate")
     add_common(p, positional_n=False)
-    p.add_argument("--tolerance", type=_positive_float, default=1e-6)
+    p.add_argument("--tolerance", type=_positive_float, default=None,
+                   help="largest residual a check may carry (default: disc.DEFAULT_TOL)")
     return parser
 
 

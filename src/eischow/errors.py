@@ -92,9 +92,5 @@ class QuadratureNotConverged(EischowError):
     """Doubling the quadrature order still moves the result too much."""
 
 
-class GridTooCoarse(EischowError):
-    """The grid-refinement error estimate exceeds the tolerance."""
-
-
 class BoundaryNonVanishing(EischowError):
     """A function required to vanish on the boundary circle does not."""

@@ -56,9 +56,6 @@ class EisOperator:
             lab for lab, col in zip(self.basis.labels, self.columns) if col is not None
         )
 
-    def is_total(self) -> bool:
-        return all(col is not None for col in self.columns)
-
     def column(self, label: str) -> EisVector:
         col = self.columns[self.basis.index(label)]
         if col is None:

@@ -74,6 +74,8 @@ SERIES_TOL = 1e-12
 # functional-equation gate of omega_f_sq: |Lambda(1+t) - eps Lambda(1-t)| at t
 SIGN_GATE_T = 0.25
 SIGN_GATE_TOL = 1e-8
+# q-expansion tail of the Petersson quadrature, relative to its leading term
+CUTOFF_REL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -458,11 +460,12 @@ def _mapped(rule, lo, hi):
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-def _coefficient_cutoff(y_min: float, rel: float = 1e-16) -> int:
-    # smallest M with sum_{n>M} 2n e^{-2 pi n y_min} below rel * leading term
+def _coefficient_cutoff(y_min: float) -> int:
+    # smallest M with sum_{n>M} 2n e^{-2 pi n y_min} below CUTOFF_REL * leading term
     c = 2.0 * math.pi * y_min
     m = 1
-    while 2.0 * (m + 1) * math.exp(-c * (m + 1)) / (1.0 - math.exp(-c)) > rel * math.exp(-c):
+    lead = math.exp(-c)
+    while 2.0 * (m + 1) * math.exp(-c * (m + 1)) / (1.0 - lead) > CUTOFF_REL * lead:
         m += 1
     return m
 
@@ -554,9 +557,8 @@ def petersson(f: EigenformData, quad_order: int = 24, rtol: float = 1e-5) -> flo
 
     a Horner pass of about M/N steps over the N residue classes, one x-node
     at a time, so no temporary grows past (quad_order x N).  A pass
-    therefore costs O(quad_order^2 (M + N)) on F_low only.  A call at the
-    default order (passes at 12 and 24) takes about 4 ms at N = 37 and
-    6 ms at N = 131 on a 2-core x86-64 host.
+    therefore costs O(quad_order^2 (M + N)) on F_low only, and a call at
+    the default order runs two passes, at orders 12 and 24.
     """
     if all(a == 0 for a in f.an):
         return 0.0
