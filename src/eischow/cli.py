@@ -161,7 +161,7 @@ def _cmd_omega_f(args) -> dict:
     from . import lseries
 
     f = lseries.ingest(args.eigenform)
-    result = lseries.omega_f_sq(f, tol=args.tolerance)
+    result = lseries.omega_f_sq(f)
     obj = {"label": f.label, "level": f.level, "al_sign": f.al_sign}
     obj.update(result.to_json_obj())
     return obj
@@ -216,9 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega-f", help="isotypical invariant omega_f^2 from a dataset")
     add_common(p, positional_n=False)
     p.add_argument("--eigenform", required=True, help="JSON-lines eigenform file")
-    p.add_argument("--tolerance", type=_positive_float, default=1e-9,
-                   help="clamp for small negative heights: h in [-TOL, 0) counts as 0, "
-                        "below -TOL is an error; does not set the series or quadrature accuracy")
     p = sub.add_parser("verify-analysis", help="run the disc-identity regression gate")
     add_common(p, positional_n=False)
     p.add_argument("--tolerance", type=_positive_float, default=None,

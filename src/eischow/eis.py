@@ -381,11 +381,9 @@ def dinf_gp_discrepancy(N: int) -> dict:
     }
 
 
-def omega_eis_report(N: int, precision: int = 10, dinf_pairing: str = "log") -> dict:
+def omega_eis_report(N: int, precision: int = 10) -> dict:
     """JSON-ready report with symbolic and numeric renderings of omega_Eis^2."""
-    inv = invariants(N)
-    G = _gram(inv, dinf_pairing)
-    _require_nondegenerate(inv)
+    inv, G = _level_and_gram(N, None)
     value = _omega_sq(inv, G)
     return {
         "N": N,

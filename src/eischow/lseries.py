@@ -13,32 +13,26 @@ with (f,f) the Petersson norm in the unnormalized convention
 integral_{Gamma_0(N)\\H} |f(z)|^2 dx dy (no division by the hyperbolic
 volume).  The functional-equation sign is taken to be -al_sign; omega_f_sq
 checks it on every form: the Lambda-symmetry residual at t = SIGN_GATE_T
-must stay below SIGN_GATE_TOL, else WrongSign, so the convention is
-verified at runtime rather than trusted.
+and split SIGN_GATE_SPLIT must stay below SIGN_GATE_TOL, else WrongSign,
+so the convention is verified at runtime rather than trusted.  Every
+accuracy setting is a module constant, read when a function runs.
 
 Numerical methods are standard: exponentially convergent series with
 incomplete-gamma/exponential-integral kernels for the L-values (E_1 and
 Gamma(s, x) are computed here, by power series below SPECIAL_SWITCH and
-continued fractions above it), and
-a split of the fundamental domain for the Petersson integral (prime level,
-using the Fricke involution to fold the slash translates of the level-one
-domain back to q-expansions).  Above Im z = 1 the level-one domain covers
-a whole period in x and the N translates together tile one, so Parseval
-gives both cusp strips in closed form; only the arc region F_low = {|x| <= 1/2,
-sqrt(1 - x^2) <= y <= 1} takes Gauss-Legendre quadrature, at a cost of
-O(order^2 (M + N)) with M the coefficient cutoff.  There the N translates
-f((z+j)/N) are summed together by Parseval over Z/N:
-splitting the coefficients by n mod N turns the sum of N squared moduli
-into N residue-class series in W = e^{2 pi i z} of about M/N terms each,
-so a quadrature node costs O(M + N), not O(N M).  Tail bounds use
-|a_n| <= d(n) sqrt(n) <= 2n.
+continued fractions above it), and a split of the fundamental domain for
+the Petersson integral (prime level, using the Fricke involution to fold
+the slash translates of the level-one domain back to q-expansions): closed
+forms above Im z = 1, and Gauss-Legendre quadrature of order PETERSSON_ORDER
+on the arc region below it, where the N translates are summed by Parseval
+over Z/N (see ``petersson``).  Tail bounds use |a_n| <= d(n) sqrt(n) <= 2n.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -74,8 +68,13 @@ SERIES_TOL = 1e-12
 # functional-equation gate of omega_f_sq: |Lambda(1+t) - eps Lambda(1-t)| at t
 SIGN_GATE_T = 0.25
 SIGN_GATE_TOL = 1e-8
+SIGN_GATE_SPLIT = 1.3  # asymmetric Mellin cut y0 = SIGN_GATE_SPLIT / sqrt(N)
 # q-expansion tail of the Petersson quadrature, relative to its leading term
 CUTOFF_REL = 1e-16
+# Gauss order of the Petersson arc region; the half-order pass must agree to PETERSSON_RTOL
+PETERSSON_ORDER = 24
+PETERSSON_RTOL = 1e-12
+HEIGHT_TOL = 1e-9  # heights in [-HEIGHT_TOL, 0) are rounding noise and clamp to 0
 
 
 @dataclass(frozen=True)
@@ -392,7 +391,7 @@ def l_derivative(f: EigenformData) -> float:
     return float(2.0 * np.sum(an / n * _exp1(c * n)))
 
 
-def completed_lambda(f: EigenformData, s: float, split: float = 1.0) -> float:
+def completed_lambda(f: EigenformData, s: float) -> float:
     """The completed function Lambda(s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(f, s).
 
     Computed by cutting the Mellin integral at height y0 = split / sqrt(N)
@@ -401,17 +400,17 @@ def completed_lambda(f: EigenformData, s: float, split: float = 1.0) -> float:
         Lambda(s) = sum_n a_n [ N^{s/2} (2 pi n)^{-s} Gamma(s, 2 pi n y0)
                    + eps N^{(2-s)/2} (2 pi n)^{s-2} Gamma(2-s, 2 pi n/(N y0)) ].
 
-    At split = 1 the two kernels coincide and the formula is symmetric by
-    construction; an asymmetric split (e.g. 1.3) makes the identity
-    Lambda(s) = eps Lambda(2-s) a genuine test of the coefficient data and
-    of the sign convention, which is how ``lambda_symmetry_residual`` uses
-    it.
+    Here split = 1, where the two kernels coincide and the formula is
+    symmetric by construction; the asymmetric split SIGN_GATE_SPLIT makes
+    the identity Lambda(s) = eps Lambda(2-s) a genuine test of the
+    coefficient data and of the sign convention, which is how
+    ``lambda_symmetry_residual`` uses it.
 
     Requires 1/2 <= s <= 3/2 and raises InsufficientCoefficients (carrying
     the required count) when f stores fewer coefficients than the sum needs
     for both exponential factors e^{-cn} to fall below e^{-45}.
     """
-    return float(_completed_lambdas(f, [s], split)[0])
+    return float(_completed_lambdas(f, [s], 1.0)[0])
 
 
 def _completed_lambdas(f: EigenformData, s_values, split: float) -> np.ndarray:
@@ -434,8 +433,8 @@ def _completed_lambdas(f: EigenformData, s_values, split: float) -> np.ndarray:
     return np.sum(an * (t1 + t2), axis=1)
 
 
-def lambda_symmetry_residual(f: EigenformData, t: float, split: float = 1.3) -> float:
-    """|Lambda(1+t) - eps Lambda(1-t)| at an asymmetric split point.
+def lambda_symmetry_residual(f: EigenformData, t: float) -> float:
+    """|Lambda(1+t) - eps Lambda(1-t)| at the asymmetric split SIGN_GATE_SPLIT.
 
     Vanishes (to quadrature accuracy) exactly when the stored coefficients
     satisfy the weight-2 functional equation with sign -al_sign; a wrong
@@ -443,7 +442,7 @@ def lambda_symmetry_residual(f: EigenformData, t: float, split: float = 1.3) -> 
     |t| <= 1/2, the range of completed_lambda.
     """
     eps = _fe_sign(f)
-    plus, minus = _completed_lambdas(f, (1.0 + t, 1.0 - t), split)
+    plus, minus = _completed_lambdas(f, (1.0 + t, 1.0 - t), SIGN_GATE_SPLIT)
     return float(abs(plus - eps * minus))
 
 
@@ -487,7 +486,7 @@ def _strip(an: np.ndarray, y0: float) -> float:
     return float(np.sum(an * an / n * np.exp((-4.0 * np.pi * y0) * n))) / (4.0 * math.pi)
 
 
-def _petersson_once(f: EigenformData, quad_order: int) -> float:
+def _petersson_once(f: EigenformData, order: int) -> float:
     N = f.level
     # coset translates ST^j fold back to f((z+j)/N)/N via the Fricke involution,
     # so all evaluations use the q-expansion at Im >= sqrt(3)/(2N); the
@@ -501,7 +500,7 @@ def _petersson_once(f: EigenformData, quad_order: int) -> float:
     # directly, the translates as (x+j)/N tiling [-1/(2N), 1 - 1/(2N)] above 1/N
     total = _strip(an1, 1.0) + _strip(an, 1.0 / N)
     # F_low = {|x| <= 1/2, sqrt(1 - x^2) <= y <= 1}: one rule in x, the same in y
-    rule = leggauss(quad_order)
+    rule = leggauss(order)
     xs, wx = _mapped(rule, -0.5, 0.5)
     ys, wy = _mapped(rule, np.sqrt(1.0 - xs * xs)[:, None], 1.0)
     main = np.sum(wy * np.abs(_f_values(an1, xs[:, None] + 1j * ys)) ** 2, axis=1)
@@ -526,7 +525,7 @@ def _petersson_once(f: EigenformData, quad_order: int) -> float:
     return float(total)
 
 
-def petersson(f: EigenformData, quad_order: int = 24, rtol: float = 1e-5) -> float:
+def petersson(f: EigenformData) -> float:
     """Petersson norm (f,f) = integral over a fundamental domain of |f|^2 dx dy.
 
     Unnormalized (Gross-Zagier) convention; weight 2 makes the hyperbolic
@@ -539,15 +538,15 @@ def petersson(f: EigenformData, quad_order: int = 24, rtol: float = 1e-5) -> flo
       Parseval in x gives both strips exactly,
       (1/4 pi) sum_n a_n^2/n (e^{-4 pi n} + e^{-4 pi n/N});
     * below it, F_low = {|x| <= 1/2, sqrt(1 - x^2) <= y <= 1} takes
-      Gauss-Legendre quadrature, one rule of order quad_order in x and the
-      same rule in y.
+      Gauss-Legendre quadrature, one rule of order PETERSSON_ORDER in x and
+      the same rule in y.
 
     Nothing is truncated in y.  Raises InsufficientCoefficients (carrying
     the cutoff M ~ 8.5 N at which the q-expansion tail drops below 1e-16 at
     Im z = sqrt(3)/(2N)) when f stores fewer coefficients, and
     QuadratureNotConverged when the half-order companion rule moves the
-    result by more than rtol relative (that difference is a conservative
-    error estimate for the returned full-order value).
+    result by more than PETERSSON_RTOL relative (that difference is a
+    conservative error estimate for the returned full-order value).
 
     On F_low the level-one part is one Horner evaluation over all nodes with
     its own cutoff (8 terms).  On the translates, with w = e^{2 pi i z/N},
@@ -556,19 +555,20 @@ def petersson(f: EigenformData, quad_order: int = 24, rtol: float = 1e-5) -> flo
         sum_j |f((z+j)/N)|^2 / N^2 = (1/N) sum_r |w|^{2r} |sum_k B[k, r] W^k|^2,
 
     a Horner pass of about M/N steps over the N residue classes, one x-node
-    at a time, so no temporary grows past (quad_order x N).  A pass
-    therefore costs O(quad_order^2 (M + N)) on F_low only, and a call at
-    the default order runs two passes, at orders 12 and 24.
+    at a time, so no temporary grows past (order x N).  A pass therefore
+    costs O(order^2 (M + N)) on F_low only, and a call runs two passes, at
+    orders 12 and 24.
     """
     if all(a == 0 for a in f.an):
         return 0.0
     if not is_prime(f.level):
         raise ValueError("the coset construction is implemented for prime level only")
-    coarse = _petersson_once(f, quad_order // 2)
-    fine = _petersson_once(f, quad_order)
-    if abs(fine - coarse) > rtol * max(abs(fine), 1e-300):
+    order = PETERSSON_ORDER
+    coarse = _petersson_once(f, order // 2)
+    fine = _petersson_once(f, order)
+    if abs(fine - coarse) > PETERSSON_RTOL * max(abs(fine), 1e-300):
         raise QuadratureNotConverged(
-            f"Petersson quadrature moved by {abs(fine - coarse):.3e} at order {quad_order}"
+            f"Petersson quadrature moved by {abs(fine - coarse):.3e} at order {order}"
         )
     return fine
 
@@ -586,40 +586,31 @@ class OmegaFResult:
     petersson: float
 
     def to_json_obj(self) -> dict:
-        return {
-            "h_i": self.h_i,
-            "h_j": self.h_j,
-            "omega_f_sq": self.omega_f_sq,
-            "l_chi4": self.l_chi4,
-            "l_chi3": self.l_chi3,
-            "l_prime": self.l_prime,
-            "petersson": self.petersson,
-        }
+        return asdict(self)
 
 
-def _combine_heights(h_i: float, h_j: float, tol: float) -> float:
-    """-(sqrt(h_i) + 2 sqrt(h_j))^2 with noise clamping.
+def _combine_heights(h_i: float, h_j: float) -> tuple[float, float, float]:
+    """The clamped heights and -(sqrt(h_i) + 2 sqrt(h_j))^2.
 
-    Heights are nonnegative; values in [-tol, 0) are numerical noise and
-    clamp to 0 before the square roots, anything below -tol raises.
-    Vanishing heights give 0.
+    Heights are nonnegative; values in [-HEIGHT_TOL, 0) are rounding noise
+    and clamp to 0 before the square roots, anything below -HEIGHT_TOL
+    raises.  Vanishing heights give 0.
     """
-    clamped = []
     for name, h in (("h_i", h_i), ("h_j", h_j)):
-        if h < -tol:
-            raise NegativeHeightBeyondTolerance(f"{name} = {h:.3e} < -{tol:g}")
-        clamped.append(max(h, 0.0))
+        if h < -HEIGHT_TOL:
+            raise NegativeHeightBeyondTolerance(f"{name} = {h:.3e} < -{HEIGHT_TOL:g}")
+    h_i, h_j = max(h_i, 0.0), max(h_j, 0.0)
     # 0.0 - x, not -x: vanishing heights give 0.0, never -0.0
-    return 0.0 - (math.sqrt(clamped[0]) + 2.0 * math.sqrt(clamped[1])) ** 2
+    return h_i, h_j, 0.0 - (math.sqrt(h_i) + 2.0 * math.sqrt(h_j)) ** 2
 
 
-def omega_f_sq(f: EigenformData, tol: float = 1e-9, quad_order: int = 24) -> OmegaFResult:
+def omega_f_sq(f: EigenformData) -> OmegaFResult:
     """The isotypical invariant omega_f^2 = -(sqrt(h_i) + 2 sqrt(h_j))^2.
 
     Heights h_i, h_j from the module-level formulas; tiny negative values
-    (|h| <= tol, pure numerical noise on a nonnegative height) are clamped
-    to zero before the square roots, larger negatives raise
-    NegativeHeightBeyondTolerance.  Requires prime level coprime to 6 and
+    (|h| <= HEIGHT_TOL: rounding noise, as when a twisted L-value of sign
+    +1 vanishes) are clamped to zero before the square roots, larger
+    negatives raise NegativeHeightBeyondTolerance.  Requires prime level coprime to 6 and
     functional-equation sign -1 (WrongSign otherwise).  The sign is also
     checked against the coefficients: WrongSign when the Lambda-symmetry
     residual at SIGN_GATE_T exceeds SIGN_GATE_TOL, after the L-series
@@ -636,12 +627,12 @@ def omega_f_sq(f: EigenformData, tol: float = 1e-9, quad_order: int = 24) -> Ome
             f"functional equation with sign -al_sign fails: residual {residual:.3e}"
             f" > {SIGN_GATE_TOL:g} at t = {SIGN_GATE_T}"
         )
-    pet = petersson(f, quad_order=quad_order)
+    pet = petersson(f)
     pi2 = math.pi ** 2
     h_i = l4 * lp / (2.0 * pi2 * pet)
     h_j = math.sqrt(3.0) * l3 * lp / (4.0 * pi2 * pet)
-    value = _combine_heights(h_i, h_j, tol)
+    h_i, h_j, value = _combine_heights(h_i, h_j)
     return OmegaFResult(
-        h_i=max(h_i, 0.0), h_j=max(h_j, 0.0), omega_f_sq=value,
+        h_i=h_i, h_j=h_j, omega_f_sq=value,
         l_chi4=l4, l_chi3=l3, l_prime=lp, petersson=pet,
     )

@@ -48,12 +48,17 @@ _BERNOULLI = {
 
 # conservative per-operation float error used in certified bounds
 _EPS = 2.0 ** -50
+# Euler-Maclaurin (sum length, Bernoulli corrections) for log A and for zeta(s),
+# and the widest central-difference step of the functional-equation route
+_GLAISHER_N, _GLAISHER_TERMS = 15, 5
+_ZETA_M, _ZETA_J = 60, 6
+_FE_STEP = 0.1
 
 
-def log_glaisher(n: int = 15, terms: int = 5) -> tuple[float, float]:
+def log_glaisher() -> tuple[float, float]:
     """log of the Glaisher-Kinkelin constant with a certified error bound.
 
-    Euler-Maclaurin applied to sum_{k<=n} k log k gives
+    Euler-Maclaurin applied to sum_{k<=n} k log k (n = _GLAISHER_N, J = _GLAISHER_TERMS) gives
 
         log A = sum_{k<=n} k log k - (n^2/2 + n/2 + 1/12) log n + n^2/4
                 + sum_{j=2}^{J+1} B_{2j} / ((2j)(2j-1)(2j-2)) n^{2-2j} + eps,
@@ -62,33 +67,35 @@ def log_glaisher(n: int = 15, terms: int = 5) -> tuple[float, float]:
     deliberate: the cancellation between the k log k sum and the leading
     term grows with n and would dominate the certified bound.
     """
+    n = _GLAISHER_N
     pieces = [k * math.log(k) for k in range(2, n + 1)]
     pieces.append(-(n * n / 2.0) * math.log(n))
     pieces.append(-(n / 2.0) * math.log(n))
     pieces.append(-math.log(n) / 12.0)
     pieces.append(n * n / 4.0)
-    for j in range(2, terms + 2):
+    for j in range(2, _GLAISHER_TERMS + 2):
         beta = _BERNOULLI[2 * j] / (2 * j * (2 * j - 1) * (2 * j - 2))
         pieces.append(float(beta) * n ** (2 - 2 * j))
     value = math.fsum(pieces)
-    j = terms + 2
+    j = _GLAISHER_TERMS + 2
     tail = 2.0 * abs(float(_BERNOULLI[2 * j])) / (2 * j * (2 * j - 1) * (2 * j - 2)) * n ** (2 - 2 * j)
     roundoff = math.fsum(abs(p) for p in pieces) * _EPS
     return value, tail + roundoff
 
 
-def zeta_prime_at_minus1(n: int = 15, terms: int = 5) -> tuple[float, float]:
+def zeta_prime_at_minus1() -> tuple[float, float]:
     """zeta'(-1) = 1/12 - log A, with certified error bound."""
-    ln_a, bound = log_glaisher(n, terms)
+    ln_a, bound = log_glaisher()
     return 1.0 / 12.0 - ln_a, bound + 1e-16
 
 
-def _zeta_euler_maclaurin(s: float, m: int = 60, j_max: int = 6) -> float:
+def _zeta_euler_maclaurin(s: float) -> float:
     # Riemann zeta for real s > 1 via Euler-Maclaurin; tail far below 1e-20
     # in the range s in [1.5, 2.5] used here.
+    m = _ZETA_M
     total = math.fsum(k ** -s for k in range(1, m + 1))
     total += m ** (1 - s) / (s - 1) - 0.5 * m ** -s
-    for j in range(1, j_max + 1):
+    for j in range(1, _ZETA_J + 1):
         poch = 1.0
         for i in range(2 * j - 1):
             poch *= s + i
@@ -107,7 +114,7 @@ def _zeta_near_minus1(s: float) -> float:
     )
 
 
-def zeta_prime_at_minus1_functional_equation(h: float = 0.1) -> tuple[float, float]:
+def zeta_prime_at_minus1_functional_equation() -> tuple[float, float]:
     """zeta'(-1) by central differences of the functional-equation values.
 
     Returns (value, error_estimate); the estimate is the difference of the
@@ -117,7 +124,7 @@ def zeta_prime_at_minus1_functional_equation(h: float = 0.1) -> tuple[float, flo
     levels = 4
     d = {}
     for k in range(levels):
-        hh = h / 2 ** k
+        hh = _FE_STEP / 2 ** k
         d[(0, k)] = (_zeta_near_minus1(-1 + hh) - _zeta_near_minus1(-1 - hh)) / (2 * hh)
     for m in range(1, levels):
         for k in range(levels - m):

@@ -26,6 +26,7 @@ from eischow.disc import (
 from eischow.eis import EisVector, gram, omega_eis_sq, omega_eis_vector, pair, w_vector
 from eischow.gamma0 import invariants
 from eischow.hecke import commutator_is_zero, hecke_shift, is_self_adjoint, t_hat
+from eischow import lseries
 from eischow.lseries import l_value, lambda_symmetry_residual, omega_f_sq
 from eischow.qexp import EtaQuotient, eta_expand, hecke_q, heegner_points
 from eischow.symbolic import KAPPA, LOG
@@ -202,11 +203,13 @@ def test_criterion_8_l_series_evaluator(f37, f11):
     _passline(8, 30, elapsed, "Lambda symmetry < 1e-8 (levels 11, 37); series doubling stable")
 
 
-def test_criterion_9_omega_f_pipeline(f37):
+def test_criterion_9_omega_f_pipeline(f37, monkeypatch):
     t0 = time.perf_counter()
     # 308 coefficients is the Petersson cutoff at level 37
-    base = omega_f_sq(f37.truncated(308), quad_order=48)
-    refined = omega_f_sq(f37.truncated(616), quad_order=96)
+    monkeypatch.setattr(lseries, "PETERSSON_ORDER", 48)
+    base = omega_f_sq(f37.truncated(308))
+    monkeypatch.setattr(lseries, "PETERSSON_ORDER", 96)
+    refined = omega_f_sq(f37.truncated(616))
     assert refined.omega_f_sq <= 0.0
     assert math.isfinite(refined.omega_f_sq)
     rel = abs(refined.omega_f_sq - base.omega_f_sq) / abs(refined.omega_f_sq)

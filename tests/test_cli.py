@@ -210,6 +210,8 @@ def test_usage_errors_exit_2():
         ["verify-analysis", "--tolerance", "inf"],
         ["verify-analysis", "--tolerance", "0"],
         ["omega-f", "--eigenform", "x.jsonl", "--tolerance", "-1"],
+        # omega-f takes no numeric option
+        ["omega-f", "--eigenform", "x.jsonl", "--tolerance", "1e-6"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -274,7 +276,6 @@ NUMBER_TEXT = st.one_of(
 
 OWN_OPTION = {
     "omega-eis": "--precision",
-    "omega-f": "--tolerance",
     "verify-analysis": "--tolerance",
 }
 

@@ -15,11 +15,13 @@ from eischow.errors import (
     ParseError,
     WrongSign,
 )
+from eischow import lseries
 from eischow.lseries import (
     SERIES_TOL,
     SPECIAL_SWITCH,
     EigenformData,
     _coefficient_cutoff,
+    _completed_lambdas,
     _exp1,
     _petersson_once,
     _series_terms,
@@ -256,8 +258,8 @@ def test_completed_lambda_refuses_too_few_coefficients(f37):
 
 def test_lambda_split_independence(f37):
     # the value of Lambda(s) must not depend on the split point
-    a = completed_lambda(f37, 1.1, split=1.0)
-    b = completed_lambda(f37, 1.1, split=1.4)
+    a = _completed_lambdas(f37, [1.1], 1.0)[0]
+    b = _completed_lambdas(f37, [1.1], 1.4)[0]
     assert abs(a - b) < 1e-10
 
 
@@ -273,7 +275,7 @@ def test_petersson_zero_form():
 def test_petersson_positive_and_converged(f37):
     # doubling the quadrature order from the default moves the value < 1e-6
     fine = petersson(f37)
-    finer = petersson(f37, quad_order=48)
+    finer = _petersson_once(f37, 48)
     assert fine > 0.0
     assert abs(finer - fine) < 1e-6 * finer
 
@@ -358,11 +360,19 @@ def test_petersson_builds_each_gauss_rule_once_per_pass(f37, count_calls):
     assert sorted(calls) == [(12,), (24,)]
 
 
-def test_petersson_rejects_hopeless_order(f37):
+def test_petersson_rejects_hopeless_order(f11, f37, f53, f131, monkeypatch):
+    # the half-order pass moves the value by 1e-5 at order 8 and 2e-10 at
+    # order 16; at the default order 24 it moves it by at most 6e-15
     from eischow.errors import QuadratureNotConverged
 
-    with pytest.raises(QuadratureNotConverged):
-        petersson(f37, quad_order=8, rtol=1e-6)
+    for f in (f11, f37, f53, f131):
+        coarse = _petersson_once(f, lseries.PETERSSON_ORDER // 2)
+        assert abs(petersson(f) - coarse) <= 1e-14 * coarse
+    for order in (8, 16):
+        monkeypatch.setattr(lseries, "PETERSSON_ORDER", order)
+        for f in (f11, f37, f53, f131):
+            with pytest.raises(QuadratureNotConverged):
+                petersson(f)
 
 
 def test_petersson_refuses_too_few_coefficients(f37):
@@ -406,11 +416,12 @@ def test_omega_f_sq_height_combination():
     from eischow.errors import NegativeHeightBeyondTolerance
     from eischow.lseries import _combine_heights
 
-    zero = _combine_heights(0.0, 0.0, 1e-9)
+    *_, zero = _combine_heights(0.0, 0.0)
     assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
-    assert _combine_heights(-1e-12, 4.0, 1e-9) == -16.0
+    # the clamped heights come back with the value
+    assert _combine_heights(-1e-12, 4.0) == (0.0, 4.0, -16.0)
     with pytest.raises(NegativeHeightBeyondTolerance):
-        _combine_heights(-1e-3, 0.0, 1e-9)
+        _combine_heights(-1e-3, 0.0)
 
 
 # -- tail bounds --------------------------------------------------------------
