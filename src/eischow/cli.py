@@ -147,10 +147,10 @@ def _hecke_table(obj):
 
 
 def _cmd_heegner(args) -> dict:
-    from .qexp import heegner_points
+    from .qexp import _heegner_points
 
-    div = heegner_points(args.N, args.disc)
     inv = invariants(args.N)
+    div = _heegner_points(args.N, inv.primes, args.disc)
     expected = inv.nu2 if args.disc == -4 else inv.nu3
     obj = div.to_json_obj()
     obj["elliptic_count"] = expected

@@ -13,6 +13,10 @@ class NonSquarefree(EischowError):
     """The level N has a square factor."""
 
 
+class LevelTooLarge(EischowError):
+    """The level exceeds gamma0.MAX_LEVEL, the largest level factored."""
+
+
 class NotADivisor(EischowError):
     """The given prime does not divide the level."""
 

@@ -4,18 +4,21 @@ The whole package parameterizes its formulas by the index psi(N), the
 elliptic-point counts nu2, nu3, the cusp count, and the genus of X_0(N).
 Everything here is exact integer arithmetic, and this module is the only
 place in the package that decides primality, factors an integer or
-evaluates the quadratic characters chi_-3 and chi_-4.
+evaluates the quadratic characters chi_-3 and chi_-4.  Levels above
+MAX_LEVEL = 10^18 are refused with LevelTooLarge, which bounds the cost of
+factoring at a few tens of milliseconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from math import isqrt
+from itertools import compress, count
+from math import gcd, isqrt
 
-from .errors import NonSquarefree, NotADivisor
+from .errors import LevelTooLarge, NonSquarefree, NotADivisor
 
 __all__ = [
+    "MAX_LEVEL",
     "Gamma0Data",
     "chi",
     "invariants",
@@ -50,18 +53,111 @@ class Gamma0Data:
         return _from_primes(self.N // p, tuple(q for q in self.primes if q != p))
 
 
-def _least_divisor(n: int, d: int = 2) -> int:
-    # least divisor >= d of n > 1, for d = 2 or odd d; n itself when none is <= sqrt n
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d = 3 if d == 2 else d + 2
-    return n
+# the Miller-Rabin bases
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the trial divisors: they alone decide every n < 101^2, so levels up to 10^4
+# never reach Miller-Rabin or rho
+_TRIAL_PRIMES = _SMALL_PRIMES + (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+# (B, k): the first k small primes as bases decide every n < B (Jaeschke 1993;
+# Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015)
+_MR_BASES = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+_MR_LIMIT = _MR_BASES[-1][0]
+# the largest level any entry point accepts; it bounds the cost of factoring
+MAX_LEVEL = 10 ** 18
+
+
+def _is_prime_rough(n: int) -> bool:
+    # primality of 1 < n < _MR_LIMIT with no prime factor p < 100 with
+    # p^2 <= n: deterministic Miller-Rabin, as n < 101^2 is then prime
+    if n < 101 * 101:
+        return True
+    k = next(k for bound, k in _MR_BASES if n < bound)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES[:k]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_prime(n: int) -> bool:
-    """True when the integer n is prime (trial division by 2 and odd d <= sqrt n)."""
-    return n >= 2 and _least_divisor(n) == n
+    """True when the integer n is prime.
+
+    Trial division by the primes below 100, then deterministic
+    Miller-Rabin with as many of the primes <= 41 as bases as n needs;
+    exact for every n < 3317044064679887385961981; ValueError from there up.
+    """
+    if n < 2:
+        return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range {_MR_LIMIT}")
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            return True
+        if n % p == 0:
+            return False
+    return _is_prime_rough(n)
+
+
+def _rho_brent(n: int) -> int:
+    """A proper divisor of the composite n, which has no prime factor < 100.
+
+    Pollard rho with Brent's cycle search and batched gcds (Brent, "An
+    improved Monte Carlo factorization algorithm", 1980); the increment c
+    of x -> x^2 + c moves on when a cycle closes without splitting n.
+    """
+    m = 128
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _rough_prime_factors(n: int) -> list[int]:
+    # the prime factors of n > 1, with multiplicity, in increasing order,
+    # for n with no prime factor p < 100 with p^2 <= n
+    if _is_prime_rough(n):
+        return [n]
+    d = _rho_brent(n)
+    return sorted(_rough_prime_factors(d) + _rough_prime_factors(n // d))
 
 
 def primes_upto(m: int) -> list[int]:
@@ -77,18 +173,33 @@ def primes_upto(m: int) -> list[int]:
 
 
 def squarefree_factorization(N: int) -> tuple[int, ...]:
-    """Return the prime divisors of N, raising NonSquarefree on a square factor."""
+    """Return the prime divisors of N in increasing order.
+
+    The primes below 100 are divided out; a composite cofactor is split by
+    Pollard rho-Brent until every piece passes Miller-Rabin.  Raises
+    NonSquarefree on a square factor (naming its least prime) and
+    LevelTooLarge above MAX_LEVEL, where the factoring cost is unbounded.
+    """
     if not isinstance(N, int) or N < 1:
         raise NonSquarefree(f"level must be a positive integer, got {N!r}")
+    if N > MAX_LEVEL:
+        raise LevelTooLarge(f"level {N} exceeds MAX_LEVEL = {MAX_LEVEL}")
     primes = []
     n = N
-    p = 2
-    while n > 1:
-        p = _least_divisor(n, p)
-        n //= p
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
         if n % p == 0:
-            raise NonSquarefree(f"{N} is divisible by {p}^2")
-        primes.append(p)
+            n //= p
+            if n % p == 0:
+                raise NonSquarefree(f"{N} is divisible by {p}^2")
+            primes.append(p)
+    if n > 1:
+        large = _rough_prime_factors(n)
+        for p, q in zip(large, large[1:]):
+            if p == q:
+                raise NonSquarefree(f"{N} is divisible by {p}^2")
+        primes += large
     return tuple(primes)
 
 

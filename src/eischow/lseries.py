@@ -41,12 +41,13 @@ from .errors import (
     InsufficientCoefficients,
     InvariantViolation,
     LevelNotCoprimeTo6,
+    LevelTooLarge,
     NegativeHeightBeyondTolerance,
     ParseError,
     QuadratureNotConverged,
     WrongSign,
 )
-from .gamma0 import chi, is_prime, primes_upto
+from .gamma0 import MAX_LEVEL, chi, is_prime, primes_upto
 from .qexp import QExpansion
 
 __all__ = [
@@ -116,6 +117,8 @@ class EigenformData:
 def _validate(level, weight, al_sign, an):
     if weight != 2:
         raise ParseError(f"only weight 2 is supported, got {weight}")
+    if level > MAX_LEVEL:
+        raise LevelTooLarge(f"level {level} exceeds MAX_LEVEL = {MAX_LEVEL}")
     if not is_prime(level):
         raise ParseError(f"level {level} is not prime")
     if math.gcd(level, 6) != 1:

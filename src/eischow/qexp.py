@@ -22,7 +22,7 @@ from .errors import (
     LevelNotCoprimeTo6,
     PrecisionTooSmall,
 )
-from .gamma0 import invariants, is_prime, squarefree_factorization
+from .gamma0 import chi, invariants, is_prime, squarefree_factorization
 
 __all__ = [
     "QExpansion",
@@ -224,27 +224,59 @@ class HeegnerDivisor:
 
 
 def heegner_points(N: int, disc: int) -> HeegnerDivisor:
-    """Enumerate b in [0, 2N) with b^2 = disc (mod 4N) by exhaustive search.
+    """The b in [0, 2N) with b^2 = disc (mod 4N), in increasing order.
 
-    Only discriminants -3 and -4 are accepted (class number one, the two
-    CM orbits over j = 0 and j = 1728); the level must be squarefree and
-    coprime to 6.
+    The roots are assembled by the Chinese remainder theorem from the two
+    square roots of disc modulo each prime p | N; past factoring N, each of
+    the 2^k roots costs time polynomial in log N.  Only discriminants -3 and -4 are accepted (class number one,
+    the two CM orbits over j = 0 and j = 1728); the level must be
+    squarefree and coprime to 6.
     """
-    squarefree_factorization(N)
-    return _heegner_points(N, disc)
+    return _heegner_points(N, squarefree_factorization(N), disc)
 
 
-def _heegner_points(N: int, disc: int) -> HeegnerDivisor:
-    # N is already known to be squarefree
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a modulo the odd prime p (Tonelli-Shanks)."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _heegner_points(N: int, primes: tuple, disc: int) -> HeegnerDivisor:
+    # primes is the squarefree factorization of N
     if math.gcd(N, 6) != 1:
         raise LevelNotCoprimeTo6(f"gcd({N}, 6) != 1")
     if disc not in (-3, -4):
         raise ValueError(f"disc must be -3 or -4, got {disc}")
-    roots = tuple(b for b in range(2 * N) if (b * b - disc) % (4 * N) == 0)
+    # roots of x^2 = disc mod M, extended one prime p | N at a time
+    roots, M = [0], 1
+    for p in primes:
+        if chi(disc, p) != 1:
+            roots = []
+            break
+        r = _sqrt_mod(disc % p, p)
+        inv = pow(M, -1, p)
+        roots = [x + M * ((y - x) * inv % p) for x in roots for y in (r, p - r)]
+        M *= p
+    # N is odd: of r and r + N exactly one is = disc (mod 2), hence a root mod 4N
+    roots = sorted(x if (x - disc) % 2 == 0 else x + N for x in roots)
     return HeegnerDivisor(
         level=N,
         disc=disc,
-        roots=roots,
+        roots=tuple(roots),
         weight_per_point=Fraction(1, 2) if disc == -4 else Fraction(1, 3),
     )
 
@@ -273,6 +305,6 @@ def canonical_decomposition(N: int) -> CanonicalDecomposition:
     return CanonicalDecomposition(
         N=N,
         mult_infty=2 * inv.genus - 2,
-        h_i=_heegner_points(N, -4),
-        h_j=_heegner_points(N, -3),
+        h_i=_heegner_points(N, inv.primes, -4),
+        h_j=_heegner_points(N, inv.primes, -3),
     )

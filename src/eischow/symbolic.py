@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import zetavalues
-from .gamma0 import is_prime
+from .gamma0 import MAX_LEVEL, is_prime
 
 __all__ = ["SymbolicReal", "ONE", "KAPPA", "LOG", "linear_product"]
 
@@ -32,7 +32,13 @@ def _is_symbol(sym: str) -> bool:
     if sym in (_ONE_KEY, _KAPPA_KEY):
         return True
     body = sym[4:-1]
-    return sym.startswith("LOG(") and sym.endswith(")") and body.isdigit() and is_prime(int(body))
+    return (
+        sym.startswith("LOG(")
+        and sym.endswith(")")
+        and body.isdigit()
+        and int(body) <= MAX_LEVEL
+        and is_prime(int(body))
+    )
 
 
 def _check_symbol(sym: str) -> str:

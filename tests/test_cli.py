@@ -9,7 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from eischow.cli import run
-from eischow.gamma0 import is_prime
+from eischow.gamma0 import MAX_LEVEL, is_prime
 
 from conftest import extend_an
 
@@ -242,6 +242,11 @@ def _11a_flipped_sign(f37, f11):
                        "an": list(f11.an)})
 
 
+def _30_digit_level(f37, f11):
+    # above gamma0.MAX_LEVEL: refused before any primality test
+    return json.dumps(dict(_37a_record(list(f37.an[:40])), level=10 ** 29 + 1))
+
+
 @pytest.mark.parametrize(
     "text, error",
     [
@@ -250,8 +255,10 @@ def _11a_flipped_sign(f37, f11):
         ('"label level weight al_sign an"', "ParseError"),
         (_a2_beyond_bound, "InvariantViolation"),
         (_11a_flipped_sign, "WrongSign"),
+        (_30_digit_level, "LevelTooLarge"),
     ],
-    ids=["deep-nesting", "number-line", "string-line", "a2-beyond-bound", "11a-flipped-sign"],
+    ids=["deep-nesting", "number-line", "string-line", "a2-beyond-bound", "11a-flipped-sign",
+         "30-digit-level"],
 )
 def test_omega_f_rejects_malformed_records(capsys, tmp_path, f37, f11, text, error):
     if callable(text):
@@ -304,6 +311,10 @@ def eigenform_texts(draw, valid_text, f37):
     return valid_text[: draw(st.integers(0, len(valid_text) - 1))]
 
 
+# levels past the uniform range: primes, a semiprime, a square, the cap and one past it
+LARGE_LEVELS = [1000003, 1000003 * 1000033, 10 ** 12 + 39, 1000003 ** 2, MAX_LEVEL, MAX_LEVEL + 1]
+
+
 @st.composite
 def argvs(draw, eigenform_path, valid_text, f37):
     command = draw(st.sampled_from(
@@ -315,7 +326,7 @@ def argvs(draw, eigenform_path, valid_text, f37):
             eigenform_path.write_text(draw(eigenform_texts(valid_text, f37)) + "\n")
             argv += ["--eigenform", str(eigenform_path)]
     else:
-        n = draw(st.integers(-10 ** 6, 10 ** 6))
+        n = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6), st.sampled_from(LARGE_LEVELS)))
         argv.append(str(n))
         if command == "hecke":
             flag = draw(st.sampled_from(["--l", "--d"]))

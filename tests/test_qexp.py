@@ -1,8 +1,10 @@
-"""Eta quotients against a naive product oracle; Hecke action; Heegner counts."""
+"""Eta quotients against a naive product oracle; Hecke action; Heegner roots
+against an exhaustive scan."""
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eischow.errors import (
@@ -12,7 +14,7 @@ from eischow.errors import (
     NonSquarefree,
     PrecisionTooSmall,
 )
-from eischow.gamma0 import invariants
+from eischow.gamma0 import invariants, squarefree_factorization
 from eischow.qexp import (
     EtaQuotient,
     QExpansion,
@@ -150,6 +152,40 @@ def test_heegner_examples():
     assert h3.count == 2 == invariants(37).nu3
     assert h3.weight_per_point == Fraction(1, 3)
     assert heegner_points(37, -4).weight_per_point == Fraction(1, 2)
+
+
+def heegner_scan(N, disc):
+    """Every b in [0, 2N) with b^2 = disc (mod 4N), by exhaustive search."""
+    b = np.arange(2 * N, dtype=np.int64)
+    return tuple(int(x) for x in b[(b * b - disc) % (4 * N) == 0])
+
+
+def test_heegner_roots_against_scan():
+    checked = 0
+    for N in range(1, 10 ** 4 + 1):
+        if math.gcd(N, 6) != 1:
+            continue
+        try:
+            squarefree_factorization(N)
+        except NonSquarefree:
+            continue
+        for disc in (-3, -4):
+            assert heegner_points(N, disc).roots == heegner_scan(N, disc), (N, disc)
+            checked += 1
+    assert checked == 2 * 3043
+
+
+# the 4-prime level has every prime = 1 (mod 12), so nu2 = nu3 = 16
+@pytest.mark.parametrize("N", [1000003, 1000003 * 1000033, 13 * 37 * 61 * 1000033])
+def test_heegner_roots_at_large_levels(N):
+    inv = invariants(N)
+    for disc, count in ((-4, inv.nu2), (-3, inv.nu3)):
+        roots = heegner_points(N, disc).roots
+        assert list(roots) == sorted(set(roots))
+        assert all(0 <= b < 2 * N and (b * b - disc) % (4 * N) == 0 for b in roots)
+        assert len(roots) == count
+        if N < 10 ** 7:
+            assert roots == heegner_scan(N, disc)
 
 
 def test_heegner_errors():

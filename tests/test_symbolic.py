@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eischow import gamma0
 from eischow.errors import PrecisionUnreachable
+from eischow.gamma0 import MAX_LEVEL, is_prime
 from eischow.symbolic import KAPPA, LOG, ONE, SymbolicReal, linear_product
 from eischow.zetavalues import (
     zeta_prime_at_minus1,
@@ -108,6 +110,17 @@ def test_precision_unreachable():
         KAPPA.evaluate(15)
     with pytest.raises(ValueError):
         KAPPA.evaluate(0)
+
+
+def test_log_beyond_level_cap_is_not_a_symbol(count_calls):
+    p = 10 ** 18 + 3
+    assert p > MAX_LEVEL and is_prime(p)
+    calls = count_calls(gamma0.is_prime)
+    with pytest.raises(ValueError, match="LOG expects a prime"):
+        LOG(p)
+    with pytest.raises(ValueError, match="unknown basis symbol"):
+        SymbolicReal.from_json_obj({f"LOG({10 ** 30 + 57})": "1"})
+    assert calls == []
 
 
 def test_linear_product_rules():
