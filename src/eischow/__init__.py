@@ -58,7 +58,7 @@ __all__ = [
     "HeegnerDivisor", "heegner_points", "canonical_decomposition",
     "EigenformData", "ingest", "l_value", "l_derivative",
     "petersson", "omega_f_sq",
-    "DiscGrid", "DiscFunction", "seminorm1", "verification_report",
+    "DiscGrid", "seminorm1", "verification_report",
     "__version__",
 ]
 
@@ -68,7 +68,7 @@ _LAZY = {
         ("EigenformData", "ingest", "l_derivative", "l_value", "omega_f_sq", "petersson"),
         "lseries",
     ),
-    **dict.fromkeys(("DiscFunction", "DiscGrid", "seminorm1", "verification_report"), "disc"),
+    **dict.fromkeys(("DiscGrid", "seminorm1", "verification_report"), "disc"),
 }
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import eis, hecke
@@ -44,12 +45,38 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _emit(obj, fmt: str, table_lines) -> None:
-    if fmt == "json":
-        print(_dumps(obj))
-    else:
-        for line in table_lines(obj):
-            print(line)
+def _tolerance(text: str) -> float:
+    # loads disc (and numpy) only when verify-analysis is given --tolerance
+    from .disc import DEFAULT_TOL
+
+    value = _positive_float(text)
+    if value > DEFAULT_TOL:
+        raise argparse.ArgumentTypeError(
+            f"expected a number <= disc.DEFAULT_TOL = {DEFAULT_TOL:g}, got {text!r}"
+        )
+    return value
+
+
+def _emit(obj, fmt: str, table_lines) -> bool:
+    """Print obj; False when the reader has closed stdout.
+
+    Stdout then points at os.devnull, so the flush at exit cannot fail too.
+    """
+    try:
+        if fmt == "json":
+            print(_dumps(obj))
+        else:
+            for line in table_lines(obj):
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return False
+    return True
 
 
 def _kv_lines(obj):
@@ -218,8 +245,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eigenform", required=True, help="JSON-lines eigenform file")
     p = sub.add_parser("verify-analysis", help="run the disc-identity regression gate")
     add_common(p, positional_n=False)
-    p.add_argument("--tolerance", type=_positive_float, default=None,
-                   help="largest residual a check may carry (default: disc.DEFAULT_TOL)")
+    p.add_argument("--tolerance", type=_tolerance, default=None,
+                   help="largest residual a check may carry, at most and by default "
+                   "disc.DEFAULT_TOL")
     return parser
 
 
@@ -240,11 +268,12 @@ def run(argv=None) -> int:
     command, table = _DISPATCH[args.command]
     try:
         obj = command(args)
-        _emit(obj, args.format, table)
+        if not _emit(obj, args.format, table):
+            return 1
     except (EischowError, ValueError, OSError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         if args.format == "json":
-            print(_dumps(err))
+            _emit(err, "json", None)
         else:
             print(f"error[{err['error']}]: {err['message']}", file=sys.stderr)
         return 1

@@ -31,14 +31,14 @@ def _is_symbol(sym: str) -> bool:
     # the one place a LOG(p) symbol's primality is tested
     if sym in (_ONE_KEY, _KAPPA_KEY):
         return True
+    # only the canonical spelling of p: ASCII digits, no leading zero, no
+    # more digits than MAX_LEVEL (so int() never sees a huge or exotic body)
     body = sym[4:-1]
-    return (
-        sym.startswith("LOG(")
-        and sym.endswith(")")
-        and body.isdigit()
-        and int(body) <= MAX_LEVEL
-        and is_prime(int(body))
-    )
+    if not (sym.startswith("LOG(") and sym.endswith(")") and body.isascii()
+            and body.isdigit() and len(body) <= len(str(MAX_LEVEL))):
+        return False
+    p = int(body)
+    return str(p) == body and p <= MAX_LEVEL and is_prime(p)
 
 
 def _check_symbol(sym: str) -> str:

@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import eischow
 from eischow.cli import run
 from eischow.gamma0 import MAX_LEVEL, is_prime
 
@@ -126,6 +131,27 @@ def test_verify_analysis(capsys):
     assert any(not c["passed"] for c in obj["checks"])
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [
+    ["invariants", "37", "--format", "json"],
+    ["invariants", "37"],
+    ["invariants", "12", "--format", "json"],  # the error object meets the closed pipe
+])
+def test_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(eischow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "eischow.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
 def test_domain_errors_exit_1(capsys, tmp_path):
     code, out, _ = run_capture(capsys, ["invariants", "12", "--format", "json"])
     assert code == 1
@@ -209,6 +235,10 @@ def test_usage_errors_exit_2():
         ["verify-analysis", "--tolerance", "nan"],
         ["verify-analysis", "--tolerance", "inf"],
         ["verify-analysis", "--tolerance", "0"],
+        # the gate never loosens: disc.DEFAULT_TOL = 1e-9 is the largest tolerance
+        ["verify-analysis", "--tolerance", "2e-9"],
+        ["verify-analysis", "--tolerance", "1e-6"],
+        ["verify-analysis", "--tolerance", "1e300"],
         ["omega-f", "--eigenform", "x.jsonl", "--tolerance", "-1"],
         # omega-f takes no numeric option
         ["omega-f", "--eigenform", "x.jsonl", "--tolerance", "1e-6"],

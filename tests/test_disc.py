@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from eischow.disc import (
+    DEFAULT_TOL,
     ClosedForm,
-    DiscFunction,
     DiscGrid,
     cf_abs2,
     cf_bump_times_z,
@@ -28,10 +28,7 @@ from eischow.errors import BoundaryNonVanishing
 
 GRID = DiscGrid.gauss(128, 256)
 TOL = 1e-6
-
-
-def bump(grid=GRID):
-    return DiscFunction.sample(cf_one_minus_abs2(), grid)
+BUMP = cf_one_minus_abs2()  # 1 - |z|^2
 
 
 def test_grid_validates_radial_exactness():
@@ -40,30 +37,67 @@ def test_grid_validates_radial_exactness():
         DiscGrid(np.array([0.5, 0.5]), np.array([0.5, 0.5]), 8, exact_degree=5)
 
 
+@pytest.mark.parametrize("radial", [1, 2, 3])
+def test_grid_probes_only_degrees_the_rule_integrates(radial):
+    # an R-point Gauss rule is exact up to degree 2R - 1, and no further
+    grid = DiscGrid.gauss(radial, 4)
+    assert grid.nodes.shape == (radial, 4)
+    nodes, weights = grid.radial_nodes, grid.radial_weights
+    with pytest.raises(ValueError, match=f"degree {2 * radial}"):
+        DiscGrid(nodes, weights, 4, exact_degree=2 * radial)
+
+
+@pytest.mark.parametrize("angular", [0, -3])
+def test_grid_refuses_fewer_than_one_angle(angular):
+    with pytest.raises(ValueError, match="at least one angle"):
+        DiscGrid.gauss(8, angular)
+    with pytest.raises(ValueError, match="at least one angle"):
+        verification_report(8, angular)
+
+
+def test_grid_sample_refuses_wrong_shape_and_non_finite_values():
+    with pytest.raises(ValueError, match="shape"):
+        GRID.sample(lambda z: z[0])
+    with pytest.raises(ValueError, match="non-finite"):
+        GRID.sample(lambda z: np.where(z == z[3, 5], np.inf, z))
+    # derivatives go through the same check
+    bad_dz = ClosedForm(value=lambda z: z, dz=lambda z: np.full_like(z, np.nan),
+                        dzbar=lambda z: np.zeros_like(z))
+    with pytest.raises(ValueError, match="non-finite"):
+        seminorm1(bad_dz, GRID)
+    # and so do the Hardy check's substituted nodes: a NaN lhs must not pass as
+    # max(0, nan - rhs) = 0
+    holed = ClosedForm(value=lambda z: np.where(np.abs(z) < 0.3, np.nan, BUMP.value(z)),
+                       dz=BUMP.dz, dzbar=BUMP.dzbar)
+    with pytest.raises(ValueError, match="non-finite"):
+        check_hardy(holed, 1.0, GRID)
+
+
 def test_seminorm_constant_zero():
     const = ClosedForm(
         value=lambda z: np.full_like(z, 2.5),
         dz=lambda z: np.zeros_like(z),
         dzbar=lambda z: np.zeros_like(z),
     )
-    assert seminorm1(DiscFunction.sample(const, GRID)) == 0.0
+    assert seminorm1(const, GRID) == 0.0
 
 
 def test_seminorm_bump_equals_pi():
-    assert abs(seminorm1(bump()) - math.pi) < TOL
+    assert abs(seminorm1(BUMP, GRID) - math.pi) < TOL
 
 
 def test_seminorm_coordinate_equals_two_pi():
-    assert abs(seminorm1(DiscFunction.sample(cf_coordinate(), GRID)) - 2 * math.pi) < TOL
+    assert abs(seminorm1(cf_coordinate(), GRID) - 2 * math.pi) < TOL
 
 
 @pytest.mark.parametrize(
     "radial, angular, passes",
-    [(4, 8, False), (8, 16, False), (16, 32, False), (32, 64, False), (64, 128, False),
+    [(1, 2, False), (2, 4, False), (3, 6, False), (4, 8, False), (8, 16, False), (16, 32, False), (32, 64, False), (64, 128, False),
      (128, 256, True), (256, 512, True)],
 )
 def test_verification_report_grid_sweep(radial, angular, passes):
-    # at the default tolerance every grid below 128x256 fails, and names what failed
+    # at the default tolerance every grid below 128x256 fails, and names what
+    # failed; even the one-node grid ends in a failed report, not an exception
     rep = verification_report(radial=radial, angular=angular)
     failing = [c["name"] for c in rep["checks"] if not c["passed"]]
     assert rep["passed"] is passes
@@ -73,21 +107,23 @@ def test_verification_report_grid_sweep(radial, angular, passes):
 
 
 def test_pullback_trivial_values():
-    f = DiscFunction.sample(cf_coordinate(), GRID)
+    f = cf_coordinate()
     for n in (1, 2, 5):
         pulled = pullback_pow(f, n)
-        assert np.allclose(pulled.values, GRID.nodes ** n)
+        assert isinstance(pulled, ClosedForm)
+        assert np.allclose(GRID.sample(pulled.value), GRID.nodes ** n)
 
 
 def test_pullback_degree_identity():
-    base = seminorm1(bump())
+    base = seminorm1(BUMP, GRID)
     for n in (2, 3):
-        assert abs(seminorm1(pullback_pow(bump(), n)) - n * base) < TOL
+        assert abs(seminorm1(pullback_pow(BUMP, n), GRID) - n * base) < TOL
 
 
 def test_pushforward_abs2():
-    push = pushforward_pow(DiscFunction.sample(cf_abs2(), GRID), 2)
-    assert np.max(np.abs(push.values - 2.0 * np.abs(GRID.nodes))) < 1e-12
+    push = pushforward_pow(cf_abs2(), 2)
+    assert isinstance(push, ClosedForm)
+    assert np.max(np.abs(GRID.sample(push.value) - 2.0 * np.abs(GRID.nodes))) < 1e-12
 
 
 def test_pushforward_log_telescopes():
@@ -97,17 +133,17 @@ def test_pushforward_log_telescopes():
         dzbar=lambda z: -1.0 / np.conj(z),
     )
     for n in (2, 3):
-        push = pushforward_pow(DiscFunction.sample(log_cf, GRID), n)
-        assert np.max(np.abs(push.values + np.log(np.abs(GRID.nodes) ** 2))) < 1e-12
+        push = GRID.sample(pushforward_pow(log_cf, n).value)
+        assert np.max(np.abs(push + np.log(np.abs(GRID.nodes) ** 2))) < 1e-12
 
 
 def test_dbar_equality_real_function():
-    r = check_dbar_equality(bump())
+    r = check_dbar_equality(BUMP, GRID)
     assert r.residual < 1e-12  # |f_z| = |f_zbar| pointwise for real f
 
 
 def test_dbar_equality_complex_function():
-    r = check_dbar_equality(DiscFunction.sample(cf_bump_times_z(), GRID))
+    r = check_dbar_equality(cf_bump_times_z(), GRID)
     assert r.residual < TOL
     assert abs(r.lhs - 2 * math.pi / 3) < TOL
 
@@ -119,19 +155,19 @@ def test_dbar_boundary_enforced():
         dzbar=lambda z: np.zeros_like(z),
     )
     with pytest.raises(BoundaryNonVanishing):
-        check_dbar_equality(DiscFunction.sample(one, GRID))
+        check_dbar_equality(one, GRID)
 
 
 def test_hardy_closed_form_delta_one():
-    h = check_hardy(bump(), 1.0)
+    h = check_hardy(BUMP, 1.0, GRID)
     assert abs(h.lhs - 32 * math.pi / 15) < TOL
     assert abs(h.rhs - 16 * math.pi) < TOL
     assert h.residual <= TOL
 
 
 def test_hardy_small_delta_rescales_constant():
-    h1 = check_hardy(bump(), 1.0)
-    h2 = check_hardy(bump(), 0.1)
+    h1 = check_hardy(BUMP, 1.0, GRID)
+    h2 = check_hardy(BUMP, 0.1, GRID)
     assert h2.residual <= TOL
     # rhs carries (4/delta)^2 against the unchanged Dirichlet integral
     assert abs(h2.rhs / h1.rhs - 100.0) < 1e-9
@@ -140,7 +176,7 @@ def test_hardy_small_delta_rescales_constant():
     # is exact where 2/delta is an integer, so delta = 1.5 gets the loosest bound
     for delta, bound in ((0.1, 1e-6), (0.25, 1e-12), (0.5, 1e-12), (1.5, 1e-9)):
         exact = 4.0 * math.pi * (1.0 / delta - 2.0 / (delta + 2.0) + 1.0 / (delta + 4.0))
-        assert abs(check_hardy(bump(), delta).lhs - exact) < bound
+        assert abs(check_hardy(BUMP, delta, GRID).lhs - exact) < bound
 
 
 def test_hardy_randomized_polynomial_family():
@@ -164,30 +200,28 @@ def test_hardy_randomized_polynomial_family():
             db = np.where(b > 0, b * z ** a * zb ** max(b - 1, 0), 0.0)
             return coeff * (db * (1 - z * zb) - base * z)
 
-        f = DiscFunction.sample(ClosedForm(value=value, dz=dz, dzbar=dzbar), GRID)
+        f = ClosedForm(value=value, dz=dz, dzbar=dzbar)
         for delta in (0.25, 0.5, 1.0, 1.5):
-            assert check_hardy(f, delta).residual <= TOL
+            assert check_hardy(f, delta, GRID).residual <= TOL
 
 
 def test_hardy_rejects_bad_delta():
     with pytest.raises(ValueError):
-        check_hardy(bump(), 2.5)
+        check_hardy(BUMP, 2.5, GRID)
 
 
 def test_adjoint_example():
-    r = check_adjoint(DiscFunction.sample(cf_abs2(), GRID),
-                      DiscFunction.sample(cf_abs2(), GRID), 2)
+    r = check_adjoint(cf_abs2(), cf_abs2(), 2, GRID)
     assert abs(r.lhs - 4 * math.pi / 3) < TOL
     assert abs(r.rhs - 4 * math.pi / 3) < TOL
     assert r.residual < TOL
 
 
 def test_adjoint_pullback_energy():
-    f = bump()
-    base = dirichlet_pairing(f, f)
+    base = dirichlet_pairing(BUMP, BUMP, GRID)
     for n in (2, 3):
-        lifted = pullback_pow(f, n)
-        assert abs(dirichlet_pairing(lifted, lifted) - n * base) < TOL
+        lifted = pullback_pow(BUMP, n)
+        assert abs(dirichlet_pairing(lifted, lifted, GRID) - n * base) < TOL
 
 
 def test_adjoint_constant_gives_zero():
@@ -196,19 +230,18 @@ def test_adjoint_constant_gives_zero():
         dz=lambda z: np.zeros_like(z),
         dzbar=lambda z: np.zeros_like(z),
     )
-    r = check_adjoint(DiscFunction.sample(const, GRID),
-                      DiscFunction.sample(cf_abs2(), GRID), 2)
+    r = check_adjoint(const, cf_abs2(), 2, GRID)
     assert abs(r.lhs) < 1e-14 and abs(r.rhs) < 1e-14
 
 
 def test_ibp_example():
-    r = check_ibp(bump(), DiscFunction.sample(cf_abs2(), GRID))
+    r = check_ibp(BUMP, cf_abs2(), GRID)
     assert r.residual < TOL
     assert abs(r.lhs - math.pi) < TOL
 
 
 def test_ibp_harmonic():
-    r = check_ibp(bump(), DiscFunction.sample(cf_re(), GRID))
+    r = check_ibp(BUMP, cf_re(), GRID)
     assert abs(r.lhs) < 1e-12 and abs(r.rhs) < 1e-12
 
 
@@ -218,32 +251,21 @@ def test_ibp_zero_function():
         dz=lambda z: np.zeros_like(z),
         dzbar=lambda z: np.zeros_like(z),
     )
-    r = check_ibp(DiscFunction.sample(zero, GRID), DiscFunction.sample(cf_abs2(), GRID))
+    r = check_ibp(zero, cf_abs2(), GRID)
     assert r.lhs == 0.0 and r.rhs == 0.0
 
 
-def test_pairing_resamples_onto_first_grid():
-    # (1-|z|^2, |z|^2)_1 = 2 int (-conj z) z dA = -pi; g lives on another grid
-    f = bump()
-    g = DiscFunction.sample(cf_abs2(), DiscGrid.gauss(96, 200))
-    cross = dirichlet_pairing(f, g)
-    same = dirichlet_pairing(f, DiscFunction.sample(cf_abs2(), GRID))
-    assert abs(cross - same) < 1e-12
-    assert abs(cross + math.pi) < 1e-12
-
-
 def test_linearity_of_seminorm_pairing():
-    f, g = bump(), DiscFunction.sample(cf_bump_times_z(), GRID)
-    lhs = dirichlet_pairing(f, g)
-    two_f = DiscFunction.sample(
-        ClosedForm(
-            value=lambda z: 2 * cf_one_minus_abs2().value(z),
-            dz=lambda z: 2 * cf_one_minus_abs2().dz(z),
-            dzbar=lambda z: 2 * cf_one_minus_abs2().dzbar(z),
-        ),
-        GRID,
+    # (1-|z|^2, |z|^2)_1 = 2 int (-conj z) z dA = -pi
+    assert abs(dirichlet_pairing(BUMP, cf_abs2(), GRID) + math.pi) < 1e-12
+    g = cf_bump_times_z()
+    lhs = dirichlet_pairing(BUMP, g, GRID)
+    two_f = ClosedForm(
+        value=lambda z: 2 * BUMP.value(z),
+        dz=lambda z: 2 * BUMP.dz(z),
+        dzbar=lambda z: 2 * BUMP.dzbar(z),
     )
-    assert abs(dirichlet_pairing(two_f, g) - 2 * lhs) < 1e-12
+    assert abs(dirichlet_pairing(two_f, g, GRID) - 2 * lhs) < 1e-12
 
 
 def test_refinement_convergence_order():
@@ -257,8 +279,7 @@ def test_refinement_convergence_order():
     res = []
     for radial, angular in ((4, 8), (8, 16), (16, 32)):
         grid = DiscGrid.gauss(radial, angular)
-        r = check_adjoint(DiscFunction.sample(cf_abs2(), grid),
-                          DiscFunction.sample(exp_cf, grid), 2)
+        r = check_adjoint(cf_abs2(), exp_cf, 2, grid)
         res.append(max(r.residual, 1e-16))
     # empirical order >= 1: each refinement at least halves the residual
     assert res[1] <= res[0] / 2
@@ -266,9 +287,16 @@ def test_refinement_convergence_order():
 
 
 def test_verification_report_passes():
-    rep = verification_report(radial=128, angular=256, tol=1e-6)
+    rep = verification_report(radial=128, angular=256)
+    assert rep["tolerance"] == DEFAULT_TOL
     assert rep["passed"]
     assert all(c["passed"] for c in rep["checks"])
     names = [c["name"] for c in rep["checks"]]
     assert any("hardy" in n for n in names)
     assert any("adjoint" in n for n in names)
+
+
+@pytest.mark.parametrize("tol", [2 * DEFAULT_TOL, 1e-6, 1e300, math.inf, math.nan])
+def test_verification_report_never_loosens(tol):
+    with pytest.raises(ValueError, match="DEFAULT_TOL"):
+        verification_report(8, 16, tol=tol)

@@ -58,6 +58,14 @@ def test_every_exported_name_resolves():
     for name in eischow.__all__:
         assert getattr(eischow, name) is not None, name
     assert set(eischow.__all__) <= set(dir(eischow))
+    # every layer's __all__ too, as a tracer that wraps each layer's exports reads it
+    for info in pkgutil.iter_modules(eischow.__path__):
+        module = importlib.import_module(f"eischow.{info.name}")
+        for name in getattr(module, "__all__", ()):  # errors exports by class alone
+            assert getattr(module, name) is not None, f"{info.name}.{name}"
+    # the grid constructor is wrapped through the class dict, so it stays a staticmethod
+    disc = importlib.import_module("eischow.disc")
+    assert isinstance(disc.DiscGrid.__dict__["gauss"], staticmethod)
     namespace = {}
     exec("from eischow import *", namespace)
     assert namespace["omega_f_sq"] is importlib.import_module("eischow.lseries").omega_f_sq

@@ -134,6 +134,10 @@ def test_linear_product_rules():
 def test_bad_symbols_rejected():
     with pytest.raises(ValueError):
         SymbolicReal({"LOG(4)": 1})
+    # LOG(p) has one spelling: ASCII digits without a leading zero
+    for sym in ("LOG(0037)", "LOG(\uff13\uff17)", "LOG(\u00b2)", "LOG(+37)", "LOG( 37)"):
+        with pytest.raises(ValueError, match="unknown basis symbol"):
+            SymbolicReal.from_json_obj({sym: "1"})
     with pytest.raises(ValueError):
         SymbolicReal({"PI": 1})
     with pytest.raises(ValueError):
