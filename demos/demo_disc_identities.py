@@ -63,5 +63,6 @@ ibp = check_ibp(bump, abs2, grid)
 print(f"integration by parts: {ibp.lhs.real:.9f} vs {ibp.rhs.real:.9f}")
 
 rep = verification_report()
-print(f"\nfull certified suite at 256x512, tol {rep['tolerance']:g}: "
+print(f"\nfull certified suite at {rep['grid']['radial']}x{rep['grid']['angular']}, "
+      f"tol {rep['tolerance']:g}: "
       f"{sum(c['passed'] for c in rep['checks'])}/{len(rep['checks'])} checks pass")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -35,25 +34,6 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    # loads disc (and numpy) only when verify-analysis is given --tolerance
-    from .disc import DEFAULT_TOL
-
-    value = _positive_float(text)
-    if value > DEFAULT_TOL:
-        raise argparse.ArgumentTypeError(
-            f"expected a number <= disc.DEFAULT_TOL = {DEFAULT_TOL:g}, got {text!r}"
-        )
     return value
 
 
@@ -197,8 +177,7 @@ def _cmd_omega_f(args) -> dict:
 def _cmd_verify_analysis(args) -> dict:
     from . import disc
 
-    tol = disc.DEFAULT_TOL if args.tolerance is None else args.tolerance
-    return disc.verification_report(tol=tol)
+    return disc.verification_report()
 
 
 def _verify_table(obj):
@@ -245,9 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eigenform", required=True, help="JSON-lines eigenform file")
     p = sub.add_parser("verify-analysis", help="run the disc-identity regression gate")
     add_common(p, positional_n=False)
-    p.add_argument("--tolerance", type=_tolerance, default=None,
-                   help="largest residual a check may carry, at most and by default "
-                   "disc.DEFAULT_TOL")
     return parser
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import BadHeckePrime, BadInvolutionParam, BasisMismatch, OutsideDomain
 from .eis import EisBasis, EisVector, GramMatrix
-from .gamma0 import Gamma0Data, invariants, is_prime
+from .gamma0 import MAX_LEVEL, Gamma0Data, invariants, is_prime
 from .symbolic import LOG, SymbolicReal, linear_product
 
 __all__ = [
@@ -137,6 +137,9 @@ def hecke_shift(l: int, N: int) -> SymbolicReal:
 
 
 def _shift(l: int, inv: Gamma0Data) -> SymbolicReal:
+    # LOG(l) takes no prime above the cap, and is_prime has a range limit
+    if l > MAX_LEVEL:
+        raise BadHeckePrime(f"l = {l} exceeds gamma0.MAX_LEVEL = {MAX_LEVEL}")
     if not is_prime(l) or inv.N % l == 0:
         raise BadHeckePrime(f"l = {l} must be a prime not dividing N = {inv.N}")
     return Fraction(12 * (l - 1), inv.psi) * LOG(l)

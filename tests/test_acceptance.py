@@ -246,4 +246,4 @@ def test_criterion_10_disc_certified_checks():
         assert abs(seminorm1(pullback_pow(bump, n), grid) - n * s) < tol
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
-    _passline(10, 60, elapsed, "disc identities certified at the default 256x512 grid")
+    _passline(10, 60, elapsed, "disc identities certified at the default 16x32 grid")

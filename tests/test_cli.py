@@ -13,6 +13,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import eischow
+from eischow import disc
 from eischow.cli import run
 from eischow.gamma0 import MAX_LEVEL, is_prime
 
@@ -115,20 +116,22 @@ def test_omega_f_command_level_131(capsys, tmp_path, f131):
     assert '"omega_f_sq":0.0,' in out
 
 
-def test_verify_analysis(capsys):
+def test_verify_analysis(capsys, monkeypatch):
     code, out, _ = run_capture(capsys, ["verify-analysis", "--format", "json"])
     assert code == 0
     obj = json.loads(out)
     assert obj["passed"] is True
+    assert obj["grid"] == {"radial": 16, "angular": 32}
+    assert obj["tolerance"] == 1e-12
 
-    # below round-off a check fails: the exit-1 output is still the report
-    code, out, _ = run_capture(
-        capsys, ["verify-analysis", "--tolerance", "1e-13", "--format", "json"]
-    )
+    # below round-off a check fails: the exit-1 output is still the full report
+    monkeypatch.setattr(disc, "DEFAULT_TOL", 0.0)
+    code, out, _ = run_capture(capsys, ["verify-analysis", "--format", "json"])
     assert code == 1
-    obj = json.loads(out)
-    assert obj["passed"] is False
-    assert any(not c["passed"] for c in obj["checks"])
+    failed = json.loads(out)
+    assert failed["passed"] is False and failed["tolerance"] == 0.0
+    assert [c["name"] for c in failed["checks"]] == [c["name"] for c in obj["checks"]]
+    assert any(not c["passed"] for c in failed["checks"])
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])
@@ -175,6 +178,21 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(out)["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("l", [MAX_LEVEL + 3, 10 ** 28 + 9])
+def test_hecke_prime_above_the_cap_exits_1(capsys, l):
+    # 10^18 + 3 is prime, but LOG takes no prime above the cap; 10^28 + 9 is
+    # beyond is_prime's range; both are refused by the cap before any test
+    assert is_prime(MAX_LEVEL + 3)
+    code, out, _ = run_capture(capsys, ["hecke", "37", "--l", str(l), "--format", "json"])
+    assert code == 1
+    err = json.loads(out)
+    assert err["error"] == "BadHeckePrime"
+    assert str(MAX_LEVEL) in err["message"]
+    # the largest prime at the cap still gets its operator
+    code, out, _ = run_capture(capsys, ["hecke", "37", "--l", str(MAX_LEVEL - 11), "--format", "json"])
+    assert code == 0, out
 
 
 @pytest.mark.parametrize(
@@ -232,10 +250,11 @@ def test_usage_errors_exit_2():
         ["omega-eis", "37", "--precision", "0"],
         ["omega-eis", "37", "--precision", "-1"],
         ["omega-eis", "37", "--precision", "2.5"],
+        # verify-analysis takes no numeric option: its tolerance is disc.DEFAULT_TOL
         ["verify-analysis", "--tolerance", "nan"],
         ["verify-analysis", "--tolerance", "inf"],
         ["verify-analysis", "--tolerance", "0"],
-        # the gate never loosens: disc.DEFAULT_TOL = 1e-9 is the largest tolerance
+        ["verify-analysis", "--tolerance", "1e-13"],
         ["verify-analysis", "--tolerance", "2e-9"],
         ["verify-analysis", "--tolerance", "1e-6"],
         ["verify-analysis", "--tolerance", "1e300"],
@@ -313,7 +332,6 @@ NUMBER_TEXT = st.one_of(
 
 OWN_OPTION = {
     "omega-eis": "--precision",
-    "verify-analysis": "--tolerance",
 }
 
 

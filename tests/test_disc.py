@@ -1,6 +1,7 @@
 """Disc verification kernel: closed-form oracles, grid sweeps, error paths."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,12 +48,20 @@ def test_grid_probes_only_degrees_the_rule_integrates(radial):
         DiscGrid(nodes, weights, 4, exact_degree=2 * radial)
 
 
-@pytest.mark.parametrize("angular", [0, -3])
-def test_grid_refuses_fewer_than_one_angle(angular):
-    with pytest.raises(ValueError, match="at least one angle"):
-        DiscGrid.gauss(8, angular)
-    with pytest.raises(ValueError, match="at least one angle"):
-        verification_report(8, angular)
+@pytest.mark.parametrize("radial, angular, what", [
+    pytest.param(8, 0, "angle", id="0"),
+    pytest.param(8, -3, "angle", id="-3"),
+    # a count must be a true int: int() would truncate 2.5 and read True as 1,
+    # and the report would then name a grid it did not run
+    pytest.param(8, 2.5, "angle", id="8-2.5"),
+    pytest.param(True, 2, "radius", id="True-2"),
+    pytest.param(0, 4, "radius", id="0-4"),
+])
+def test_grid_refuses_fewer_than_one_angle(radial, angular, what):
+    with pytest.raises(ValueError, match=f"at least one {what}"):
+        DiscGrid.gauss(radial, angular)
+    with pytest.raises(ValueError, match=f"at least one {what}"):
+        verification_report(radial, angular)
 
 
 def test_grid_sample_refuses_wrong_shape_and_non_finite_values():
@@ -92,18 +101,23 @@ def test_seminorm_coordinate_equals_two_pi():
 
 @pytest.mark.parametrize(
     "radial, angular, passes",
-    [(1, 2, False), (2, 4, False), (3, 6, False), (4, 8, False), (8, 16, False), (16, 32, False), (32, 64, False), (64, 128, False),
-     (128, 256, True), (256, 512, True)],
+    [(1, 2, False), (2, 4, False), (3, 6, False), (4, 8, False), (5, 10, False), (6, 12, False),
+     (7, 14, False), (8, 16, False), (9, 18, True), (16, 32, True), (32, 64, True),
+     (64, 128, True), (128, 256, True), (256, 512, True)],
 )
 def test_verification_report_grid_sweep(radial, angular, passes):
-    # at the default tolerance every grid below 128x256 fails, and names what
-    # failed; even the one-node grid ends in a failed report, not an exception
+    # every integrand is a polynomial of radial degree <= 16 (the Hardy entry
+    # at delta = 1/4), so at the round-off tolerance every grid from 9 nodes up
+    # passes, and every smaller one fails and names what failed; even the
+    # one-node grid ends in a failed report, not an exception
     rep = verification_report(radial=radial, angular=angular)
     failing = [c["name"] for c in rep["checks"] if not c["passed"]]
+    assert rep["grid"] == {"radial": radial, "angular": angular}
+    assert rep["tolerance"] == DEFAULT_TOL == 1e-12
     assert rep["passed"] is passes
     assert bool(failing) is not passes
-    if not passes:
-        assert any(name.startswith("hardy lhs at delta=1.5") for name in failing)
+    if radial == 8:
+        assert any(name.startswith("hardy lhs at delta=0.25") for name in failing)
 
 
 def test_pullback_trivial_values():
@@ -166,17 +180,20 @@ def test_hardy_closed_form_delta_one():
 
 
 def test_hardy_small_delta_rescales_constant():
+    tenth = Fraction(1, 10)
     h1 = check_hardy(BUMP, 1.0, GRID)
-    h2 = check_hardy(BUMP, 0.1, GRID)
+    h2 = check_hardy(BUMP, tenth, GRID)
     assert h2.residual <= TOL
     # rhs carries (4/delta)^2 against the unchanged Dirichlet integral
     assert abs(h2.rhs / h1.rhs - 100.0) < 1e-9
     assert abs(h2.rhs - 1600.0 * math.pi) < 1e-8
-    # closed-form lhs: 4 pi (1/delta - 2/(delta+2) + 1/(delta+4)); the Gauss rule
-    # is exact where 2/delta is an integer, so delta = 1.5 gets the loosest bound
-    for delta, bound in ((0.1, 1e-6), (0.25, 1e-12), (0.5, 1e-12), (1.5, 1e-9)):
-        exact = 4.0 * math.pi * (1.0 / delta - 2.0 / (delta + 2.0) + 1.0 / (delta + 4.0))
-        assert abs(check_hardy(BUMP, delta, GRID).lhs - exact) < bound
+    # closed-form lhs: 4 pi (1/delta - 2/(delta+2) + 1/(delta+4)); after r = u^q the
+    # integrand is a polynomial of degree 4q + p - 1 <= 40 here, so every delta is
+    # exact up to round-off on the 128-node rule
+    for delta in (tenth, 0.25, 0.5, 1.5, Fraction(2, 3), Fraction(7, 4)):
+        d = float(delta)
+        exact = 4.0 * math.pi * (1.0 / d - 2.0 / (d + 2.0) + 1.0 / (d + 4.0))
+        assert abs(check_hardy(BUMP, delta, GRID).lhs - exact) < 1e-12
 
 
 def test_hardy_randomized_polynomial_family():
@@ -206,8 +223,12 @@ def test_hardy_randomized_polynomial_family():
 
 
 def test_hardy_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        check_hardy(BUMP, 2.5, GRID)
+    # refused before any grid work, so no grid is needed to see it; the float
+    # 0.1 is 3602879701896397/2^55, with no small exact form
+    for delta in (2.5, 0, 2, -0.5, 0.1, math.nan, math.inf, "1/4", True, Fraction(1, 1025)):
+        for grid in (None, GRID):
+            with pytest.raises(ValueError, match="delta"):
+                check_hardy(BUMP, delta, grid)
 
 
 def test_adjoint_example():
@@ -294,9 +315,3 @@ def test_verification_report_passes():
     names = [c["name"] for c in rep["checks"]]
     assert any("hardy" in n for n in names)
     assert any("adjoint" in n for n in names)
-
-
-@pytest.mark.parametrize("tol", [2 * DEFAULT_TOL, 1e-6, 1e300, math.inf, math.nan])
-def test_verification_report_never_loosens(tol):
-    with pytest.raises(ValueError, match="DEFAULT_TOL"):
-        verification_report(8, 16, tol=tol)
