@@ -20,16 +20,17 @@ accuracy setting is a module constant, read when a function runs.
 Numerical methods are standard: exponentially convergent series with
 incomplete-gamma/exponential-integral kernels for the L-values (E_1 and
 Gamma(s, x) are computed here, by power series below SPECIAL_SWITCH and
-continued fractions above it), and a split of the fundamental domain for
-the Petersson integral (prime level, using the Fricke involution to fold
-the slash translates of the level-one domain back to q-expansions): closed
-forms above Im z = 1, and Gauss-Legendre quadrature of order PETERSSON_ORDER
-on the arc region below it, where the N translates are summed by Parseval
-over Z/N (see ``petersson``).  Tail bounds use |a_n| <= d(n) sqrt(n) <= 2n.
+continued fractions above it), and for the Petersson integral (prime level)
+the level-one domain and its N translates, folded back to q-expansions by the
+Fricke involution, as the cases M = 1 and M = N of one Parseval fold over
+Z/M: closed forms above Im z = 1, Gauss-Legendre quadrature of order
+PETERSSON_ORDER on the arc region below it (see ``petersson``).  Tail bounds
+use |a_n| <= d(n) sqrt(n) <= 2n.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -75,6 +76,8 @@ CUTOFF_REL = 1e-16
 # Gauss order of the Petersson arc region; the half-order pass must agree to PETERSSON_RTOL
 PETERSSON_ORDER = 24
 PETERSSON_RTOL = 1e-12
+# complex values in one Petersson fold temporary (256 KB)
+FOLD_BLOCK = 2 ** 14
 HEIGHT_TOL = 1e-9  # heights in [-HEIGHT_TOL, 0) are rounding noise and clamp to 0
 
 
@@ -162,21 +165,27 @@ def ingest(path, label: str | None = None) -> EigenformData:
     the matching line is selected; otherwise the first line wins.  Raises
     ParseError for schema problems and InvariantViolation (with the failing
     index) for coefficient data that is not a normalized Hecke eigenform
-    or breaks the bound |a_p| <= 2 sqrt(p).
+    or breaks the bound |a_p| <= 2 sqrt(p).  A file that is not UTF-8 is a
+    ParseError naming the byte offset of the first bad byte.
     """
+    with open(path, "rb") as fh:
+        try:
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ParseError(f"line {lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(f"line {lineno}: expected a JSON object")
-            records.append((lineno, obj))
+    # newline=None splits lines as a text-mode file does
+    for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"line {lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"line {lineno}: expected a JSON object")
+        records.append((lineno, obj))
     if not records:
         raise ParseError(f"{path}: no eigenform records found")
     chosen = None
@@ -472,14 +481,6 @@ def _coefficient_cutoff(y_min: float) -> int:
     return m
 
 
-def _f_values(an: np.ndarray, z: np.ndarray) -> np.ndarray:
-    q = np.exp(2j * np.pi * z)
-    out = np.zeros_like(q)
-    for a in an[::-1]:
-        out = out * q + a
-    return out * q
-
-
 def _strip(an: np.ndarray, y0: float) -> float:
     """integral_{y0}^inf integral_0^1 |f(x+iy)|^2 dx dy = (1/4 pi) sum_n a_n^2/n e^{-4 pi n y0},
 
@@ -489,43 +490,49 @@ def _strip(an: np.ndarray, y0: float) -> float:
     return float(np.sum(an * an / n * np.exp((-4.0 * np.pi * y0) * n))) / (4.0 * math.pi)
 
 
+def _fold_sq(an: np.ndarray, M: int, z: np.ndarray) -> np.ndarray:
+    """Phi_M(z) = sum_{j mod M} |f((z+j)/M)|^2 / M^2 at every node z (f cut at an).
+
+    With w = e^{2 pi i z/M}, W = w^M and B[k, r] = a_{r+kM} (a_0 = 0), Parseval
+    over Z/M gives Phi_M = (1/M) sum_r |w|^{2r} |sum_k B[k, r] W^k|^2: one Horner
+    pass in W over the M residue classes.  M = 1 gives |f(z)|^2.
+    """
+    blocks = np.zeros((an.size // M + 1) * M)
+    blocks[1:an.size + 1] = an
+    blocks = blocks.reshape(-1, M)
+    z = z.ravel()
+    big_w = np.exp(2j * np.pi * z)[:, None]
+    # Horner in W, in place: a fresh (nodes x M) temporary per step costs more than the step
+    folded = np.empty((z.size, M), dtype=complex)
+    folded[:] = blocks[-1]
+    for row in blocks[-2::-1]:
+        folded *= big_w
+        folded += row
+    decay = np.exp((-4.0 * np.pi / M) * z.imag[:, None] * np.arange(M))
+    return np.sum(decay * np.abs(folded) ** 2, axis=1) / M
+
+
 def _petersson_once(f: EigenformData, order: int) -> float:
     N = f.level
-    # coset translates ST^j fold back to f((z+j)/N)/N via the Fricke involution,
-    # so all evaluations use the q-expansion at Im >= sqrt(3)/(2N); the
-    # level-one domain lies at Im >= sqrt(3)/2, where a few terms suffice
-    cutoff = _require(
-        f, _coefficient_cutoff(math.sqrt(3.0) / (2.0 * N)), "the Petersson quadrature"
-    )
-    an = np.array(f.an[:cutoff], dtype=float)
-    an1 = an[:_coefficient_cutoff(math.sqrt(3.0) / 2.0)]
-    # above y = 1 both parts cover whole periods in x: the level-one domain
-    # directly, the translates as (x+j)/N tiling [-1/(2N), 1 - 1/(2N)] above 1/N
-    total = _strip(an1, 1.0) + _strip(an, 1.0 / N)
+    # Phi_M at Im z >= sqrt(3)/2 reads f at Im >= sqrt(3)/(2M): a few terms at M = 1
+    cutoffs = [_coefficient_cutoff(math.sqrt(3.0) / (2.0 * M)) for M in (1, N)]
+    an = np.array(f.an[:_require(f, cutoffs[-1], "the Petersson quadrature")], dtype=float)
     # F_low = {|x| <= 1/2, sqrt(1 - x^2) <= y <= 1}: one rule in x, the same in y
     rule = leggauss(order)
     xs, wx = _mapped(rule, -0.5, 0.5)
     ys, wy = _mapped(rule, np.sqrt(1.0 - xs * xs)[:, None], 1.0)
-    main = np.sum(wy * np.abs(_f_values(an1, xs[:, None] + 1j * ys)) ** 2, axis=1)
-    # translates: with w = e^{2 pi i z/N}, W = w^N and B[k, r] = a_{r+kN} (a_0 = 0),
-    # Parseval over Z/N gives sum_j |f((z+j)/N)|^2 / N^2
-    #   = (1/N) sum_r |w|^{2r} |sum_k B[k, r] W^k|^2
-    blocks = np.zeros((cutoff // N + 1) * N)
-    blocks[1:cutoff + 1] = an
-    blocks = blocks.reshape(-1, N)
-    r = np.arange(N)
-    for x, w, y, wy_x, inner in zip(xs, wx, ys, wy, main):
-        big_w = np.exp(2j * np.pi * (x + 1j * y))[:, None]
-        # Horner in W, in place: a fresh (order x N) temporary per step costs more than the step
-        folded = np.empty((y.size, N), dtype=complex)
-        folded[:] = blocks[-1]
-        for row in blocks[-2::-1]:
-            folded *= big_w
-            folded += row
-        decay = np.exp((-4.0 * np.pi / N) * y[:, None] * r)
-        classes = np.sum(decay * np.abs(folded) ** 2, axis=1)
-        total += w * (inner + float(np.sum(wy_x * classes)) / N)
-    return float(total)
+    z = xs[:, None] + 1j * ys
+    total = 0.0
+    for M, cutoff in zip((1, N), cutoffs):
+        # above y = 1 the M translates (x+j)/M tile whole periods above 1/M
+        total += _strip(an[:cutoff], 1.0 / M)
+        # below it, whole rows of x-nodes per fold, at most FOLD_BLOCK values per temporary
+        rows = max(1, FOLD_BLOCK // (order * M))
+        phi = np.concatenate(
+            [_fold_sq(an[:cutoff], M, z[i:i + rows]) for i in range(0, order, rows)]
+        ).reshape(order, order)
+        total += float(np.sum(wx * np.sum(wy * phi, axis=1)))
+    return total
 
 
 def petersson(f: EigenformData) -> float:
@@ -533,34 +540,26 @@ def petersson(f: EigenformData) -> float:
 
     Unnormalized (Gross-Zagier) convention; weight 2 makes the hyperbolic
     weight y^2 cancel the measure.  The domain is the union of the level-one
-    domain F and its ST^j translates (prime level), which fold back to
-    sum_j |f((z+j)/N)|^2 / N^2 over F.  It is split at y = 1:
+    domain F and its ST^j translates (prime level), which fold back through
+    the Fricke involution to F: (f,f) is the integral over F of Phi_1 + Phi_N,
+    with Phi_M(z) = sum_{j mod M} |f((z+j)/M)|^2 / M^2 and Phi_1 = |f|^2.
+    One fold computes both terms, each split at y = 1:
 
-    * above y = 1, F is a whole period in x, and so are the translates,
-      whose strips (x+j)/N tile [-1/(2N), 1 - 1/(2N)] above y' = 1/N.
-      Parseval in x gives both strips exactly,
-      (1/4 pi) sum_n a_n^2/n (e^{-4 pi n} + e^{-4 pi n/N});
+    * above y = 1, F is a whole period in x, and the strips (x+j)/M tile
+      [-1/(2M), 1 - 1/(2M)] above y' = 1/M, so Parseval in x gives each
+      term exactly, (1/4 pi) sum_n a_n^2/n e^{-4 pi n/M};
     * below it, F_low = {|x| <= 1/2, sqrt(1 - x^2) <= y <= 1} takes
       Gauss-Legendre quadrature, one rule of order PETERSSON_ORDER in x and
-      the same rule in y.
+      the same in y, and Phi_M is a Horner pass in W = e^{2 pi i z} over
+      the M residue classes of the coefficients (``_fold_sq``), a few rows
+      of x-nodes at a time so that no temporary exceeds FOLD_BLOCK values.
 
-    Nothing is truncated in y.  Raises InsufficientCoefficients (carrying
-    the cutoff M ~ 8.5 N at which the q-expansion tail drops below 1e-16 at
-    Im z = sqrt(3)/(2N)) when f stores fewer coefficients, and
-    QuadratureNotConverged when the half-order companion rule moves the
-    result by more than PETERSSON_RTOL relative (that difference is a
-    conservative error estimate for the returned full-order value).
-
-    On F_low the level-one part is one Horner evaluation over all nodes with
-    its own cutoff (8 terms).  On the translates, with w = e^{2 pi i z/N},
-    W = w^N and B[k, r] = a_{r+kN},
-
-        sum_j |f((z+j)/N)|^2 / N^2 = (1/N) sum_r |w|^{2r} |sum_k B[k, r] W^k|^2,
-
-    a Horner pass of about M/N steps over the N residue classes, one x-node
-    at a time, so no temporary grows past (order x N).  A pass therefore
-    costs O(order^2 (M + N)) on F_low only, and a call runs two passes, at
-    orders 12 and 24.
+    Each M cuts the q-expansion where its tail drops below 1e-16 at
+    Im z = sqrt(3)/(2M): 8 terms at M = 1, about 8.5 N at M = N.  A call runs
+    two passes, at orders 12 and 24, each O(order^2 N).  Raises
+    InsufficientCoefficients (carrying the cutoff at M = N) when f stores
+    fewer coefficients, and QuadratureNotConverged when the half-order pass
+    moves the result by more than PETERSSON_RTOL relative.
     """
     if all(a == 0 for a in f.an):
         return 0.0

@@ -305,15 +305,19 @@ def _30_digit_level(f37, f11):
         (_a2_beyond_bound, "InvariantViolation"),
         (_11a_flipped_sign, "WrongSign"),
         (_30_digit_level, "LevelTooLarge"),
+        (b"\xff\xfe", "ParseError"),
     ],
     ids=["deep-nesting", "number-line", "string-line", "a2-beyond-bound", "11a-flipped-sign",
-         "30-digit-level"],
+         "30-digit-level", "not-utf8"],
 )
 def test_omega_f_rejects_malformed_records(capsys, tmp_path, f37, f11, text, error):
     if callable(text):
         text = text(f37, f11)
     path = tmp_path / "bad.jsonl"
-    path.write_text(text + "\n")
+    if isinstance(text, bytes):
+        path.write_bytes(text + b"\n")
+    else:
+        path.write_text(text + "\n")
     code, out, _ = run_capture(capsys, ["omega-f", "--eigenform", str(path), "--format", "json"])
     assert code == 1
     assert json.loads(out)["error"] == error

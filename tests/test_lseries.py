@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ def test_ingest_schema_errors(tmp_path):
                                 "al_sign": 1, "an": [1]}) + "\n")
     with pytest.raises(ParseError):
         ingest(path)
+
+
+def test_ingest_names_file_and_byte_offset_of_non_utf8(tmp_path, f37):
+    record = json.dumps({"label": "x", "level": 37, "weight": 2, "al_sign": 1,
+                         "an": list(f37.an[:50])})
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(record.encode() + b"\n\xff\xfe\n")
+    with pytest.raises(ParseError) as exc:
+        ingest(path)
+    assert str(exc.value) == f"{path}: not UTF-8 at byte offset {len(record) + 1}"
 
 
 def test_ingest_label_selection(tmp_path, f37):
@@ -276,12 +287,32 @@ def test_petersson_zero_form():
     assert petersson(zero) == 0.0
 
 
-def test_petersson_positive_and_converged(f37):
-    # doubling the quadrature order from the default moves the value < 1e-6
-    fine = petersson(f37)
-    finer = _petersson_once(f37, 48)
-    assert fine > 0.0
-    assert abs(finer - fine) < 1e-6 * finer
+def test_petersson_positive_and_converged(f11, f37, f53, f131):
+    # doubling the quadrature order from the default moves the value by at
+    # most 1.1e-15 relative on every catalog form
+    for f in (f11, f37, f53, f131):
+        fine = petersson(f)
+        finer = _petersson_once(f, 48)
+        assert fine > 0.0
+        assert abs(finer - fine) < 1e-13 * finer
+
+
+def test_petersson_temporaries_stay_bounded():
+    # at N = 1009 one row of x-nodes folds 24 x 1009 complex values, about
+    # 0.4 MB; all nodes at once would take ~9 MB per temporary
+    N = 1009
+    cutoff = _coefficient_cutoff(math.sqrt(3.0) / (2.0 * N))
+    assert cutoff <= 9.6 * N
+    an = tuple(1 + n % 3 for n in range(int(9.6 * N)))
+    f = EigenformData(label="big", level=N, weight=2, al_sign=1, an=an, source="ingested")
+    tracemalloc.start()
+    try:
+        value = _petersson_once(f, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0.0
+    assert peak < 4 * 2 ** 20
 
 
 def _petersson_by_translates(f, quad_order, low, tops):
