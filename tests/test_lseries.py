@@ -289,7 +289,7 @@ def test_petersson_zero_form():
 
 def test_petersson_positive_and_converged(f11, f37, f53, f131):
     # doubling the quadrature order from the default moves the value by at
-    # most 1.1e-15 relative on every catalog form
+    # most 6e-16 relative on 11a and on every catalog form
     for f in (f11, f37, f53, f131):
         fine = petersson(f)
         finer = _petersson_once(f, 48)
