@@ -25,7 +25,8 @@ the level-one domain and its N translates, folded back to q-expansions by the
 Fricke involution, as the cases M = 1 and M = N of one Parseval fold over
 Z/M: closed forms above Im z = 1, Gauss-Legendre quadrature of order
 PETERSSON_ORDER on the arc region below it (see ``petersson``).  Tail bounds
-use |a_n| <= d(n) sqrt(n) <= 2n.
+use |a_n| <= d(n) sqrt(n) <= 2n, which ingest checks, and every series is
+cut by the one rule of ``_tail_terms``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -58,7 +59,6 @@ __all__ = [
     "chi",
     "l_value",
     "l_derivative",
-    "completed_lambda",
     "lambda_symmetry_residual",
     "petersson",
     "OmegaFResult",
@@ -107,17 +107,11 @@ class EigenformData:
         """The same form carrying only a_1..a_m (for stability probes)."""
         if not 1 <= m <= len(self.an):
             raise ValueError(f"cannot truncate to {m} of {len(self.an)} coefficients")
-        return EigenformData(
-            label=self.label,
-            level=self.level,
-            weight=self.weight,
-            al_sign=self.al_sign,
-            an=self.an[:m],
-            source=self.source,
-        )
+        return replace(self, an=self.an[:m])
 
 
-def _validate(level, weight, al_sign, an):
+def _validated(label, level, weight, al_sign, an, source) -> EigenformData:
+    """The form with coefficients ``an``, once it passes every check of ``ingest``."""
     if weight != 2:
         raise ParseError(f"only weight 2 is supported, got {weight}")
     if level > MAX_LEVEL:
@@ -131,30 +125,21 @@ def _validate(level, weight, al_sign, an):
     if not an or an[0] != 1:
         raise InvariantViolation("a_1 must be 1 (normalized newform)", index=1)
     m = len(an)
-    primes = primes_upto(m)
-    # full multiplicativity check within precision
-    for p in primes:
-        ap = an[p - 1]
-        for n in range(2, m // p + 1):
-            if n % p and an[p * n - 1] != ap * an[n - 1]:
-                raise InvariantViolation(
-                    f"multiplicativity fails at n = {p * n}", index=p * n
-                )
-    # Hecke recursion at prime powers
-    for p in primes:
-        ap = an[p - 1]
-        n = p
-        while n * p <= m:
-            expected = ap * an[n - 1]
-            if p != level:
-                expected -= p * an[n // p - 1]
-            n *= p
-            if an[n - 1] != expected:
-                raise InvariantViolation(f"Hecke recursion fails at n = {n}", index=n)
-    # Ramanujan bound |a_p| <= 2 sqrt(p), which every tail bound here assumes
-    for p in primes:
-        if an[p - 1] * an[p - 1] > 4 * p:
+    # least prime factor of every n <= m: larger primes first, so that the least writes last
+    least = list(range(m + 1))
+    for p in reversed(primes_upto(math.isqrt(m))):
+        least[p * p::p] = [p] * ((m - p * p) // p + 1)
+    # one pass from n = 2 up, so the first failure is the smallest bad index: the
+    # Hecke relation at the least prime p of n (trivial at n = p) and |a_p| <= 2 sqrt(p)
+    a = (0, *an)
+    for n, p in enumerate(least[2:], 2):
+        k = n // p
+        if a[n] != a[p] * a[k] - (0 if k % p or p == level else p * a[k // p]):
+            raise InvariantViolation(f"Hecke relation fails at n = {n}", index=n)
+        if p == n and a[p] * a[p] > 4 * p:
             raise InvariantViolation(f"|a_{p}| exceeds 2 sqrt({p})", index=p)
+    return EigenformData(label=label, level=level, weight=weight, al_sign=al_sign,
+                         an=tuple(an), source=source)
 
 
 def ingest(path, label: str | None = None) -> EigenformData:
@@ -163,10 +148,10 @@ def ingest(path, label: str | None = None) -> EigenformData:
     Each line is an object {"label", "level", "weight", "al_sign", "an"}
     with integer entries and "an" listed a_1-first.  With ``label`` given,
     the matching line is selected; otherwise the first line wins.  Raises
-    ParseError for schema problems and InvariantViolation (with the failing
-    index) for coefficient data that is not a normalized Hecke eigenform
-    or breaks the bound |a_p| <= 2 sqrt(p).  A file that is not UTF-8 is a
-    ParseError naming the byte offset of the first bad byte.
+    ParseError for schema problems and InvariantViolation (with the smallest
+    failing index) for coefficient data that is not a normalized Hecke
+    eigenform or breaks the bound |a_p| <= 2 sqrt(p).  A file that is not
+    UTF-8 is a ParseError naming the byte offset of the first bad byte.
     """
     with open(path, "rb") as fh:
         try:
@@ -206,29 +191,14 @@ def ingest(path, label: str | None = None) -> EigenformData:
     for key in ("level", "weight", "al_sign"):
         if type(obj[key]) is not int:
             raise ParseError(f"line {lineno}: {key!r} must be an integer, got {obj[key]!r}")
-    _validate(obj["level"], obj["weight"], obj["al_sign"], an)
-    return EigenformData(
-        label=str(obj["label"]),
-        level=int(obj["level"]),
-        weight=int(obj["weight"]),
-        al_sign=int(obj["al_sign"]),
-        an=tuple(an),
-        source="ingested",
-    )
+    return _validated(str(obj["label"]), obj["level"], obj["weight"], obj["al_sign"], an,
+                      "ingested")
 
 
 def from_qexpansion(f: QExpansion, label: str, al_sign: int) -> EigenformData:
     """Wrap an exact q-expansion (e.g. an eta product) as eigenform data."""
-    an = tuple(int(c) for c in f.coeffs)
-    _validate(f.level, f.weight, al_sign, an)
-    return EigenformData(
-        label=label,
-        level=f.level,
-        weight=f.weight,
-        al_sign=al_sign,
-        an=an,
-        source="eta-generated",
-    )
+    an = [int(c) for c in f.coeffs]
+    return _validated(label, f.level, f.weight, al_sign, an, "eta-generated")
 
 
 def _fe_sign(f: EigenformData) -> int:
@@ -255,37 +225,61 @@ def _require(f: EigenformData, need: int, purpose: str) -> int:
     return need
 
 
+def _tail(c: float, m: int, k: int) -> float:
+    """sum_{n>m} n^k e^{-cn} for k in {0, 1}, in closed form (r = e^{-c}):
+
+    r^{m+1} / (1 - r) at k = 0, r^{m+1} ((m+1)/(1 - r) + r/(1 - r)^2) at k = 1.
+    """
+    r = math.exp(-c)
+    head = math.exp(-c * (m + 1))
+    if k == 0:
+        return head / (1.0 - r)
+    return head * ((m + 1) / (1.0 - r) + r / (1.0 - r) ** 2)
+
+
+def _tail_terms(c: float, k: int, tol: float) -> int:
+    """Smallest m with _tail(c, m, k) <= tol: the one truncation rule here.
+
+    Past m the tail falls by at most a factor e^{-c} per term (by exactly
+    that at k = 0), so it needs at least ln(tail / tol) / c more terms to
+    meet tol, and m jumps by that many, less one for rounding.  From m = 0
+    the first jump lands on the k = 0 closed-form solution; k = 1 takes a
+    few more.
+    """
+    m = 0
+    while (t := _tail(c, m, k)) > tol:
+        m += max(1, math.ceil(math.log(t / tol) / c) - 1)
+    return m
+
+
 def _series_terms(f: EigenformData, conductor: int) -> int:
     """Smallest M with central_series_tail(conductor, M) <= SERIES_TOL.
 
     Raises InsufficientCoefficients (carrying M) when f stores fewer than
     M coefficients.
     """
-    c = 2.0 * math.pi / math.sqrt(conductor)
-    # start below the bound solved for M in real arithmetic, then step up to it
-    m = max(1, math.floor(math.log(4.0 / (SERIES_TOL * (1.0 - math.exp(-c)))) / c) - 2)
-    while central_series_tail(conductor, m) > SERIES_TOL:
-        m += 1
+    m = _tail_terms(2.0 * math.pi / math.sqrt(conductor), 0, SERIES_TOL / 4.0)
     return _require(f, m, f"tolerance {SERIES_TOL:g}")
 
 
 def central_series_tail(conductor: int, m: int) -> float:
     """Certified bound for the central-value series tail past m terms.
 
-    From |a_n| <= d(n) sqrt(n) <= 2n: the terms 2 a_n/n e^{-cn} with
-    c = 2 pi / sqrt(conductor) are bounded by 4 e^{-cn}, so the tail is at
-    most 4 e^{-c(m+1)} / (1 - e^{-c}).  Strictly decreasing in m.  It also
-    bounds the tail of the derivative series sum 2 a_n/n E_1(cn) wherever
-    c(m+1) >= 1, since E_1(x) < e^{-x} ln(1 + 1/x) < e^{-x} there.
+    From |a_n| <= d(n) sqrt(n) <= 2n, which ingest guarantees: the terms
+    2 a_n/n e^{-cn} with c = 2 pi / sqrt(conductor) are bounded by 4 e^{-cn},
+    so the tail is at most 4 e^{-c(m+1)} / (1 - e^{-c}).  Strictly
+    decreasing in m.  It also bounds the tail of the derivative series
+    sum 2 a_n/n E_1(cn) wherever c(m+1) >= 1, since
+    E_1(x) < e^{-x} ln(1 + 1/x) < e^{-x} there; at the M of ``_series_terms``
+    c(M+1) >= ln(4/SERIES_TOL) ~ 29, so that condition always holds.
     """
-    c = 2.0 * math.pi / math.sqrt(conductor)
-    return 4.0 * math.exp(-c * (m + 1)) / (1.0 - math.exp(-c))
+    return 4.0 * _tail(2.0 * math.pi / math.sqrt(conductor), m, 0)
 
 
 # -- special functions ----------------------------------------------------------
 #
 # E_1(x) = Gamma(0, x) and Gamma(s, x) for x > 0 and s in [1/2, 3/2] (the
-# range completed_lambda needs): a power series up to SPECIAL_SWITCH and the
+# range _completed_lambdas needs): a power series up to SPECIAL_SWITCH and the
 # Legendre continued fraction above it.  Both are summed with a fixed number
 # of terms that reaches double precision at the switch, their worst point
 # (series error grows with x, the fraction converges faster as x grows).
@@ -403,8 +397,9 @@ def l_derivative(f: EigenformData) -> float:
     return float(2.0 * np.sum(an / n * _exp1(c * n)))
 
 
-def completed_lambda(f: EigenformData, s: float) -> float:
-    """The completed function Lambda(s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(f, s).
+def _completed_lambdas(f: EigenformData, s_values, split: float) -> np.ndarray:
+    """The completed function Lambda(s) = N^{s/2} (2 pi)^{-s} Gamma(s) L(f, s)
+    at each s in s_values, with one special-function pass for all.
 
     Computed by cutting the Mellin integral at height y0 = split / sqrt(N)
     and reflecting the lower part through the Fricke involution:
@@ -412,24 +407,18 @@ def completed_lambda(f: EigenformData, s: float) -> float:
         Lambda(s) = sum_n a_n [ N^{s/2} (2 pi n)^{-s} Gamma(s, 2 pi n y0)
                    + eps N^{(2-s)/2} (2 pi n)^{s-2} Gamma(2-s, 2 pi n/(N y0)) ].
 
-    Here split = 1, where the two kernels coincide and the formula is
-    symmetric by construction; the asymmetric split SIGN_GATE_SPLIT makes
-    the identity Lambda(s) = eps Lambda(2-s) a genuine test of the
-    coefficient data and of the sign convention, which is how
-    ``lambda_symmetry_residual`` uses it.
+    At split = 1 the two kernels coincide and the formula is symmetric by
+    construction; the asymmetric split SIGN_GATE_SPLIT makes the identity
+    Lambda(s) = eps Lambda(2-s) a genuine test of the coefficient data and
+    of the sign convention, which is how ``lambda_symmetry_residual`` uses it.
 
     Requires 1/2 <= s <= 3/2 and raises InsufficientCoefficients (carrying
     the required count) when f stores fewer coefficients than the sum needs
     for both exponential factors e^{-cn} to fall below e^{-45}.
     """
-    return float(_completed_lambdas(f, [s], 1.0)[0])
-
-
-def _completed_lambdas(f: EigenformData, s_values, split: float) -> np.ndarray:
-    """completed_lambda at each s in s_values, with one special-function pass for all."""
     s = np.asarray(s_values, dtype=float)[:, None]
     if not np.all((0.5 <= s) & (s <= 1.5)):
-        raise ValueError(f"completed_lambda needs 1/2 <= s <= 3/2, got {list(s_values)}")
+        raise ValueError(f"Lambda(s) needs 1/2 <= s <= 3/2, got {list(s_values)}")
     N = f.level
     eps = _fe_sign(f)
     y0 = split / math.sqrt(N)
@@ -451,7 +440,7 @@ def lambda_symmetry_residual(f: EigenformData, t: float) -> float:
     Vanishes (to quadrature accuracy) exactly when the stored coefficients
     satisfy the weight-2 functional equation with sign -al_sign; a wrong
     sign or corrupted coefficients produce an O(Lambda) residual.  Needs
-    |t| <= 1/2, the range of completed_lambda.
+    |t| <= 1/2, the range of _completed_lambdas.
     """
     eps = _fe_sign(f)
     plus, minus = _completed_lambdas(f, (1.0 + t, 1.0 - t), SIGN_GATE_SPLIT)
@@ -469,16 +458,6 @@ def _mapped(rule, lo, hi):
     """
     x, w = rule
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
-
-
-def _coefficient_cutoff(y_min: float) -> int:
-    # smallest M with sum_{n>M} 2n e^{-2 pi n y_min} below CUTOFF_REL * leading term
-    c = 2.0 * math.pi * y_min
-    m = 1
-    lead = math.exp(-c)
-    while 2.0 * (m + 1) * math.exp(-c * (m + 1)) / (1.0 - lead) > CUTOFF_REL * lead:
-        m += 1
-    return m
 
 
 def _strip(an: np.ndarray, y0: float) -> float:
@@ -512,24 +491,38 @@ def _fold_sq(an: np.ndarray, M: int, z: np.ndarray) -> np.ndarray:
     return np.sum(decay * np.abs(folded) ** 2, axis=1) / M
 
 
-def _petersson_once(f: EigenformData, order: int) -> float:
-    N = f.level
-    # Phi_M at Im z >= sqrt(3)/2 reads f at Im >= sqrt(3)/(2M): a few terms at M = 1
-    cutoffs = [_coefficient_cutoff(math.sqrt(3.0) / (2.0 * M)) for M in (1, N)]
+def _petersson_window(f: EigenformData) -> list:
+    """[(M, a_1..a_m as floats)] for M = 1 and M = N, slices of one array.
+
+    Phi_M at Im z >= sqrt(3)/2 reads f at y = sqrt(3)/(2M); m is the smallest
+    cutoff whose tail bound there, sum_{n>m} 2n e^{-2 pi n y} from |a_n| <= 2n,
+    is at most CUTOFF_REL times the leading term e^{-2 pi y}.  Raises
+    InsufficientCoefficients (carrying the cutoff at M = N) when f stores fewer.
+    """
+    levels = (1, f.level)
+    cutoffs = []
+    for M in levels:
+        c = 2.0 * math.pi * (math.sqrt(3.0) / (2.0 * M))
+        cutoffs.append(_tail_terms(c, 1, 0.5 * CUTOFF_REL * math.exp(-c)))
     an = np.array(f.an[:_require(f, cutoffs[-1], "the Petersson quadrature")], dtype=float)
+    return [(M, an[:m]) for M, m in zip(levels, cutoffs)]
+
+
+def _petersson_once(window, order: int) -> float:
+    """One quadrature pass of ``petersson`` at Gauss order ``order``."""
     # F_low = {|x| <= 1/2, sqrt(1 - x^2) <= y <= 1}: one rule in x, the same in y
     rule = leggauss(order)
     xs, wx = _mapped(rule, -0.5, 0.5)
     ys, wy = _mapped(rule, np.sqrt(1.0 - xs * xs)[:, None], 1.0)
     z = xs[:, None] + 1j * ys
     total = 0.0
-    for M, cutoff in zip((1, N), cutoffs):
+    for M, an in window:
         # above y = 1 the M translates (x+j)/M tile whole periods above 1/M
-        total += _strip(an[:cutoff], 1.0 / M)
+        total += _strip(an, 1.0 / M)
         # below it, whole rows of x-nodes per fold, at most FOLD_BLOCK values per temporary
         rows = max(1, FOLD_BLOCK // (order * M))
         phi = np.concatenate(
-            [_fold_sq(an[:cutoff], M, z[i:i + rows]) for i in range(0, order, rows)]
+            [_fold_sq(an, M, z[i:i + rows]) for i in range(0, order, rows)]
         ).reshape(order, order)
         total += float(np.sum(wx * np.sum(wy * phi, axis=1)))
     return total
@@ -554,9 +547,11 @@ def petersson(f: EigenformData) -> float:
       the M residue classes of the coefficients (``_fold_sq``), a few rows
       of x-nodes at a time so that no temporary exceeds FOLD_BLOCK values.
 
-    Each M cuts the q-expansion where its tail drops below 1e-16 at
-    Im z = sqrt(3)/(2M): 8 terms at M = 1, about 8.5 N at M = N.  A call runs
-    two passes, at orders 12 and 24, each O(order^2 N).  Raises
+    Each M cuts the q-expansion where its certified tail drops below 1e-16
+    of the leading term at Im z = sqrt(3)/(2M) (``_petersson_window``): 8
+    terms at M = 1 and, at M = N, 308 at N = 37, 1151 at 131 and 9634 at
+    1009 (8.3 N to 9.5 N).  A call finds the cutoffs once and runs two
+    passes over them, at orders 12 and 24, each O(order^2 N).  Raises
     InsufficientCoefficients (carrying the cutoff at M = N) when f stores
     fewer coefficients, and QuadratureNotConverged when the half-order pass
     moves the result by more than PETERSSON_RTOL relative.
@@ -565,9 +560,10 @@ def petersson(f: EigenformData) -> float:
         return 0.0
     if not is_prime(f.level):
         raise ValueError("the coset construction is implemented for prime level only")
+    window = _petersson_window(f)
     order = PETERSSON_ORDER
-    coarse = _petersson_once(f, order // 2)
-    fine = _petersson_once(f, order)
+    coarse = _petersson_once(window, order // 2)
+    fine = _petersson_once(window, order)
     if abs(fine - coarse) > PETERSSON_RTOL * max(abs(fine), 1e-300):
         raise QuadratureNotConverged(
             f"Petersson quadrature moved by {abs(fine - coarse):.3e} at order {order}"

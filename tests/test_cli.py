@@ -116,6 +116,40 @@ def test_omega_f_command_level_131(capsys, tmp_path, f131):
     assert '"omega_f_sq":0.0,' in out
 
 
+# omega-f stdout on the conftest fixtures, byte for byte
+_OMEGA_F_JSON = {
+    "37a": (
+        '{"label":"37a","level":37,"al_sign":1,"h_i":0.1022228164799375,'
+        '"h_j":0.10222281647993756,"omega_f_sq":-0.9200053483194377,'
+        '"l_chi4":2.4513893819867896,"l_chi3":2.830620639157329,'
+        '"l_prime":0.3059997738340518,"petersson":0.3717541475106961}'
+    ),
+    "53a": (
+        '{"label":"53a","level":53,"al_sign":1,"h_i":0.18596296927730843,"h_j":0.0,'
+        '"omega_f_sq":-0.18596296927730843,"l_chi4":3.0811813402756583,"l_chi3":0.0,'
+        '"l_prime":0.4358638241778575,"petersson":0.3658574230219819}'
+    ),
+    "131a": (
+        '{"label":"131a","level":131,"al_sign":1,"h_i":0.0,"h_j":0.0,"omega_f_sq":0.0,'
+        '"l_chi4":0.0,"l_chi3":0.0,"l_prime":0.9014647353357613,'
+        '"petersson":0.31332470951311664}'
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_OMEGA_F_JSON))
+def test_omega_f_json_bytes_are_pinned(capsys, tmp_path, eigenform_37_path, f53, f131, label):
+    path = eigenform_37_path
+    if label != "37a":
+        f = {"53a": f53, "131a": f131}[label]
+        path = tmp_path / f"{label}.jsonl"
+        record = {"label": label, "level": f.level, "weight": 2, "al_sign": 1, "an": list(f.an)}
+        path.write_text(json.dumps(record) + "\n")
+    code, out, err = run_capture(capsys, ["omega-f", "--eigenform", str(path), "--format", "json"])
+    assert code == 0, err
+    assert out == _OMEGA_F_JSON[label] + "\n"
+
+
 def test_verify_analysis(capsys, monkeypatch):
     code, out, _ = run_capture(capsys, ["verify-analysis", "--format", "json"])
     assert code == 0
@@ -284,6 +318,14 @@ def _a2_beyond_bound(f37, f11):
     return json.dumps(_37a_record(_beyond_bound_an(f37, 2, 10 ** 400)))
 
 
+def _a225_off(f37, f11):
+    # 225 = 3^2 5^2: the Hecke relation at 225 is its only check, and with a_225
+    # raised by 10^6 omega_f^2 moved in the twelfth digit
+    an = list(f37.an[:308])
+    an[224] += 10 ** 6
+    return json.dumps(_37a_record(an))
+
+
 def _11a_flipped_sign(f37, f11):
     # the level-11 eta form with its Fricke sign flipped passes ingest; only
     # the functional-equation gate sees that its sign is wrong
@@ -303,12 +345,13 @@ def _30_digit_level(f37, f11):
         ("5", "ParseError"),
         ('"label level weight al_sign an"', "ParseError"),
         (_a2_beyond_bound, "InvariantViolation"),
+        (_a225_off, "InvariantViolation"),
         (_11a_flipped_sign, "WrongSign"),
         (_30_digit_level, "LevelTooLarge"),
         (b"\xff\xfe", "ParseError"),
     ],
-    ids=["deep-nesting", "number-line", "string-line", "a2-beyond-bound", "11a-flipped-sign",
-         "30-digit-level", "not-utf8"],
+    ids=["deep-nesting", "number-line", "string-line", "a2-beyond-bound", "a225-off",
+         "11a-flipped-sign", "30-digit-level", "not-utf8"],
 )
 def test_omega_f_rejects_malformed_records(capsys, tmp_path, f37, f11, text, error):
     if callable(text):

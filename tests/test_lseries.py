@@ -18,21 +18,22 @@ from eischow.errors import (
     WrongSign,
 )
 from eischow import lseries
-from eischow.gamma0 import primes_upto
+from eischow.gamma0 import is_prime, primes_upto
 from eischow.lseries import (
+    CUTOFF_REL,
     SERIES_TOL,
     SPECIAL_SWITCH,
     EigenformData,
-    _coefficient_cutoff,
     _completed_lambdas,
     _exp1,
     _petersson_once,
+    _petersson_window,
     _series_terms,
     _strip,
+    _tail_terms,
     _upper_gamma,
     central_series_tail,
     chi,
-    completed_lambda,
     ingest,
     l_derivative,
     l_value,
@@ -81,6 +82,43 @@ def test_ingest_rejects_nonmultiplicative(tmp_path, f37):
     with pytest.raises(InvariantViolation) as exc:
         ingest(path)
     assert exc.value.index == 6
+
+
+def _ingest_37a(tmp_path, an):
+    path = tmp_path / "37a.jsonl"
+    path.write_text(json.dumps({"label": "x", "level": 37, "weight": 2,
+                                "al_sign": 1, "an": an}) + "\n")
+    return ingest(path)
+
+
+@pytest.mark.parametrize("changes, index", [
+    # 225 = 3^2 5^2 is neither p n with p coprime to n nor a prime power
+    ({225: 10 ** 6}, 225),
+    # a loop over p = 2 first would report 22
+    ({15: 1, 22: 1}, 15),
+    # 36 = 2^2 3^2 reached only through 180 = 5 * 36
+    ({36: 1}, 36),
+])
+def test_ingest_reports_the_smallest_bad_index(tmp_path, f37, changes, index):
+    an = list(f37.an[:308])
+    for n, delta in changes.items():
+        an[n - 1] += delta
+    with pytest.raises(InvariantViolation) as exc:
+        _ingest_37a(tmp_path, an)
+    assert exc.value.index == index
+
+
+@given(n=st.integers(4, 308).filter(lambda n: not is_prime(n)),
+       delta=st.integers(-5, 5).filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_ingest_checks_every_composite_index(tmp_path_factory, f37, n, delta):
+    # a composite a_n is fixed by the smaller coefficients, so moving it alone
+    # must be refused at n itself
+    an = list(f37.an[:308])
+    an[n - 1] += delta
+    with pytest.raises(InvariantViolation) as exc:
+        _ingest_37a(tmp_path_factory.mktemp("mutant"), an)
+    assert exc.value.index == n
 
 
 def test_ingest_schema_errors(tmp_path):
@@ -259,15 +297,13 @@ def test_lambda_symmetry_detects_wrong_sign(f37):
     assert lambda_symmetry_residual(flipped, 0.1) > 1e-5
 
 
-def test_completed_lambda_refuses_too_few_coefficients(f37):
+def test_lambda_symmetry_residual_refuses_too_few_coefficients(f37):
     # 37a cut to 20 coefficients read a residual of 4.0e-8 when the sum was
     # cut silently, which looked like a wrong sign; split 1.3 needs 58 terms
     short = f37.truncated(20)
     with pytest.raises(InsufficientCoefficients) as exc:
         lambda_symmetry_residual(short, 0.25)
     assert exc.value.required == 58
-    with pytest.raises(InsufficientCoefficients):
-        completed_lambda(short, 1.25)
     assert lambda_symmetry_residual(f37.truncated(58), 0.25) <= 1e-10
 
 
@@ -292,7 +328,7 @@ def test_petersson_positive_and_converged(f11, f37, f53, f131):
     # most 6e-16 relative on 11a and on every catalog form
     for f in (f11, f37, f53, f131):
         fine = petersson(f)
-        finer = _petersson_once(f, 48)
+        finer = _petersson_once(_petersson_window(f), 48)
         assert fine > 0.0
         assert abs(finer - fine) < 1e-13 * finer
 
@@ -301,16 +337,16 @@ def test_petersson_temporaries_stay_bounded():
     # at N = 1009 one row of x-nodes folds 24 x 1009 complex values, about
     # 0.4 MB; all nodes at once would take ~9 MB per temporary
     N = 1009
-    cutoff = _coefficient_cutoff(math.sqrt(3.0) / (2.0 * N))
-    assert cutoff <= 9.6 * N
     an = tuple(1 + n % 3 for n in range(int(9.6 * N)))
     f = EigenformData(label="big", level=N, weight=2, al_sign=1, an=an, source="ingested")
     tracemalloc.start()
     try:
-        value = _petersson_once(f, 24)
+        window = _petersson_window(f)
+        value = _petersson_once(window, 24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert window[-1][1].size <= 9.6 * N
     assert value > 0.0
     assert peak < 4 * 2 ** 20
 
@@ -334,7 +370,7 @@ def _petersson_by_translates(f, quad_order, low, tops):
         return out * q
 
     N = f.level
-    an = np.array(f.an[:_coefficient_cutoff(math.sqrt(3.0) / (2.0 * N))], dtype=float)
+    an = _petersson_window(f)[-1][1]
     xs, wx = gauss(quad_order, -0.5, 0.5)
     level_one = translates = 0.0
     for x, w in zip(xs, wx):
@@ -353,7 +389,7 @@ def _arc(x):
 
 def _strips(f):
     """The closed-form level-one and translate strips above y = 1."""
-    an = np.array(f.an[:_coefficient_cutoff(math.sqrt(3.0) / (2.0 * f.level))], dtype=float)
+    an = _petersson_window(f)[-1][1]
     return _strip(an, 1.0), _strip(an, 1.0 / f.level)
 
 
@@ -373,7 +409,7 @@ def test_petersson_fold_matches_translate_sum(level, order, f11, f37, f53):
     # the Parseval fold over Z/N on F_low against the direct sum over all N
     # translates there, plus the two strips above y = 1
     f = {11: f11, 37: f37, 53: f53}[level]
-    folded = _petersson_once(f, order)
+    folded = _petersson_once(_petersson_window(f), order)
     direct = sum(_petersson_by_translates(f, order, _arc, (1.0, 1.0))) + sum(_strips(f))
     assert abs(folded - direct) <= 1e-14 * direct
 
@@ -395,13 +431,44 @@ def test_petersson_builds_each_gauss_rule_once_per_pass(f37, count_calls):
     assert sorted(calls) == [(12,), (24,)]
 
 
+def test_petersson_searches_each_cutoff_once_per_call(f37, count_calls):
+    calls = count_calls(_tail_terms)
+    petersson(f37)
+    # one search at M = 1 and one at M = N, shared by both quadrature orders
+    assert [k for _, k, _ in calls] == [1, 1]
+    assert calls[0][0] == pytest.approx(math.pi * math.sqrt(3.0))
+    assert calls[1][0] == pytest.approx(math.pi * math.sqrt(3.0) / 37)
+
+
+# the Petersson cutoff at y = sqrt(3)/(2M); a scan on the first tail term alone
+# stopped at 360, 679, 715 and 9630 for M = 43, 79, 83 and 1009
+_PETERSSON_CUTOFFS = {1: 8, 11: 87, 37: 308, 43: 361, 53: 448, 61: 519, 79: 680, 83: 716,
+                      101: 878, 131: 1151, 1009: 9634}
+
+
+@pytest.mark.parametrize("level", [11, 37, 43, 53, 61, 79, 83, 101, 131, 1009])
+def test_petersson_cutoffs_are_the_smallest_certified_ones(level):
+    f = EigenformData(label="x", level=level, weight=2, al_sign=1,
+                      an=(1,) * (10 * level), source="ingested")
+    for M, an in _petersson_window(f):
+        c = 2.0 * math.pi * math.sqrt(3.0) / (2.0 * M)
+
+        def tail(m):
+            # sum_{n>m} 2n e^{-cn} term by term; the terms past m + 60/c add under e^{-60} of it
+            stop = m + 1 + int(60.0 / c)
+            return math.fsum(2.0 * n * math.exp(-c * n) for n in range(m + 1, stop))
+
+        assert an.size == _PETERSSON_CUTOFFS[M]
+        assert tail(an.size) <= CUTOFF_REL * math.exp(-c) < tail(an.size - 1)
+
+
 def test_petersson_rejects_hopeless_order(f11, f37, f53, f131, monkeypatch):
     # the half-order pass moves the value by 1e-5 at order 8 and 2e-10 at
     # order 16; at the default order 24 it moves it by at most 6e-15
     from eischow.errors import QuadratureNotConverged
 
     for f in (f11, f37, f53, f131):
-        coarse = _petersson_once(f, lseries.PETERSSON_ORDER // 2)
+        coarse = _petersson_once(_petersson_window(f), lseries.PETERSSON_ORDER // 2)
         assert abs(petersson(f) - coarse) <= 1e-14 * coarse
     for order in (8, 16):
         monkeypatch.setattr(lseries, "PETERSSON_ORDER", order)
