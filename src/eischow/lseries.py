@@ -31,6 +31,7 @@ cut by the one rule of ``_tail_terms``.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -508,13 +509,25 @@ def _petersson_window(f: EigenformData) -> list:
     return [(M, an[:m]) for M, m in zip(levels, cutoffs)]
 
 
-def _petersson_once(window, order: int) -> float:
-    """One quadrature pass of ``petersson`` at Gauss order ``order``."""
-    # F_low = {|x| <= 1/2, sqrt(1 - x^2) <= y <= 1}: one rule in x, the same in y
+@functools.cache
+def _arc_rule(order: int):
+    """Nodes z and weights wx, wy of the Gauss rule on the arc region, read-only.
+
+    F_low = {|x| <= 1/2, sqrt(1 - x^2) <= y <= 1} takes one rule of order
+    ``order`` in x and the same in y; built once per order, on first use.
+    """
     rule = leggauss(order)
     xs, wx = _mapped(rule, -0.5, 0.5)
     ys, wy = _mapped(rule, np.sqrt(1.0 - xs * xs)[:, None], 1.0)
     z = xs[:, None] + 1j * ys
+    for a in (z, wx, wy):
+        a.flags.writeable = False
+    return z, wx, wy
+
+
+def _petersson_once(window, order: int) -> float:
+    """One quadrature pass of ``petersson`` at Gauss order ``order``."""
+    z, wx, wy = _arc_rule(order)
     total = 0.0
     for M, an in window:
         # above y = 1 the M translates (x+j)/M tile whole periods above 1/M
@@ -551,7 +564,8 @@ def petersson(f: EigenformData) -> float:
     of the leading term at Im z = sqrt(3)/(2M) (``_petersson_window``): 8
     terms at M = 1 and, at M = N, 308 at N = 37, 1151 at 131 and 9634 at
     1009 (8.3 N to 9.5 N).  A call finds the cutoffs once and runs two
-    passes over them, at orders 12 and 24, each O(order^2 N).  Raises
+    passes over them, at orders 12 and 24, each O(order^2 N); the Gauss
+    rule of each order is built once per process (``_arc_rule``).  Raises
     InsufficientCoefficients (carrying the cutoff at M = N) when f stores
     fewer coefficients, and QuadratureNotConverged when the half-order pass
     moves the result by more than PETERSSON_RTOL relative.

@@ -37,6 +37,9 @@ def test_exact_subcommands_load_only_the_stdlib():
         "                 ['hecke', '37', '--l', '2'], ['hecke', '35', '--d', '5'],\n"
         "                 ['heegner', '37', '--disc', '-4'], ['gram', '12', '--format', 'json']):\n"
         "        cli.run(argv)\n"
+        # the eta product of the 11a form, at the benchmark's size, stays integer-only too
+        "from eischow.qexp import EtaQuotient, eta_expand\n"
+        "assert eta_expand(EtaQuotient(factors=((1, 2), (11, 2))), 2400).coeffs[:4] == (1, -2, -1, 2)\n"
     )
     assert "numpy" not in loaded
     assert "scipy" not in loaded

@@ -425,10 +425,14 @@ def test_petersson_matches_pinned_references(f37, f53, f131):
 
 
 def test_petersson_builds_each_gauss_rule_once_per_pass(f37, count_calls):
+    lseries._arc_rule.cache_clear()
     calls = count_calls(leggauss)
     petersson(f37)
-    # two passes (orders 12 and 24), each with one rule for x and y alike
+    petersson(f37)
+    # two orders (12 and 24), each rule built once for x and y alike and kept across calls
     assert sorted(calls) == [(12,), (24,)]
+    z, wx, wy = lseries._arc_rule(24)
+    assert not (z.flags.writeable or wx.flags.writeable or wy.flags.writeable)
 
 
 def test_petersson_searches_each_cutoff_once_per_call(f37, count_calls):

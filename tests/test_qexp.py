@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from eischow.errors import (
     BadHeckePrime,
@@ -70,11 +72,41 @@ def test_level11_expansion_against_oracle():
 
 
 def test_level11_expansion_matches_point_count():
-    # eta(z)^2 eta(11z)^2 is the newform of 11a: y^2 + y = x^3 - x^2 - 10x - 20
-    M = 1200
+    # eta(z)^2 eta(11z)^2 is the newform of 11a: y^2 + y = x^3 - x^2 - 10x - 20,
+    # at the size the benchmark's rank1-forms workload expands it to
+    M = 2400
     ap = {p: _ap_weierstrass((0, -1, 1, -10, -20), p) for p in _primes_upto(M)}
     f = eta_expand(EtaQuotient(factors=((1, 2), (11, 2))), M)
     assert list(f.coeffs) == extend_an(ap, M, 11)
+
+
+_FACTOR_CHOICES = [(d, r) for d in range(1, 13) for r in range(-6, 9) if r]
+
+
+@st.composite
+def eta_factor_sets(draw):
+    """1 to 4 factors (d <= 12, r in [-6, 8] minus 0) with sum(d r)/24 a positive
+    integer and weight sum(r)/2 positive and even; the last factor is drawn
+    among the ones that satisfy both congruences."""
+    head = draw(st.lists(st.sampled_from(_FACTOR_CHOICES), max_size=3))
+    shift, weight = sum(d * r for d, r in head), sum(r for _, r in head)
+    last = [(d, r) for d, r in _FACTOR_CHOICES
+            if (shift + d * r) % 24 == 0 and shift + d * r > 0
+            and (weight + r) % 4 == 0 and weight + r > 0]
+    assume(last)
+    return tuple(head) + (draw(st.sampled_from(last)),)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(factors=eta_factor_sets(), M=st.integers(1, 120))
+@example(factors=((12, 8),), M=3)  # M below the leading power 4: every coefficient is 0
+# 23 pentagonal terms to the 48th power: 224-bit slots (23^48 < 2^218), so the decode
+# of slots wider than 8 bytes, for coefficients below 2^76
+@example(factors=((1, 48),), M=200)
+def test_eta_expand_matches_oracle(factors, M):
+    f = eta_expand(EtaQuotient(factors=factors), M)
+    assert list(f.coeffs) == eta_product_oracle(factors, M)
+    assert f.precision == M
 
 
 def test_negative_exponent_quotient():
