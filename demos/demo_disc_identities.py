@@ -1,7 +1,8 @@
 """The unit-disc verification kernel behind the functoriality machinery.
 
-Every function is a closed form, and every check takes its closed forms
-plus the grid to integrate on.  Each identity is checked by quadrature
+Every function is a closed form (elementwise callables), and every check
+takes its closed forms plus the grid to integrate on; the grid evaluates
+them one block of node rows at a time.  Each identity is checked by quadrature
 against closed forms: Dirichlet seminorms, push-forward/pull-back along
 z -> z^n, the dbar equality, the weighted Hardy-type inequality with
 constant (4/delta)^2, adjointness, and integration by parts.
@@ -40,8 +41,9 @@ for n in (2, 3):
     lifted = seminorm1(pullback_pow(bump, n), grid)
     print(f"pull-back along z^{n} multiplies the seminorm by {lifted / s:.9f}")
 
-# push-forward and pull-back map closed forms to closed forms; sample to compare
-push = grid.sample(pushforward_pow(abs2, 2).value)
+# push-forward and pull-back map closed forms to closed forms; sample them at a
+# block of nodes (here the whole grid) to compare
+push = grid.sample(pushforward_pow(abs2, 2).value, grid.nodes)
 err = abs(push - 2.0 * abs(grid.nodes)).max()
 print(f"push-forward of |z|^2 along z^2 equals 2|w| up to {err:.1e}")
 

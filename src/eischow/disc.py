@@ -17,17 +17,22 @@ quadrature on a polar grid:
 Conventions: i dz ^ dzbar = 2 dx dy, so every i-integral below is computed
 as twice a plain area integral.  Every function is a ``ClosedForm`` that
 each check samples once on the Gauss grid it is given, so quadrature is the
-only error source.  An R x A grid integrates exactly (up to round-off) every
-integrand whose radial part is a polynomial of degree <= 2R - 1 in r
-(Gauss-Legendre) and whose angular part is a trigonometric polynomial of
-degree < A (equispaced angles); every integrand of ``verification_report``
-is one.  The error is measured, not estimated: the report anchors every
-value to a closed form, either directly or through an identity whose other
-side is one.
+only error source.  The grid evaluates every integrand one block of whole
+node rows at a time (at most 2^14 nodes, 256 KiB of complex values, or a
+single longer row), so no temporary spans the grid; this is why every
+``ClosedForm`` callable must be elementwise.  Each radial Gauss rule is built and
+validated once per process.  An R x A grid integrates exactly (up to
+round-off) every integrand whose radial part is a polynomial of degree
+<= 2R - 1 in r (Gauss-Legendre) and whose angular part is a trigonometric
+polynomial of degree < A (equispaced angles); every integrand of
+``verification_report`` is one.  The error is measured, not estimated:
+the report anchors every value to a closed form, either directly or
+through an identity whose other side is one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -35,6 +40,7 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import BoundaryNonVanishing
 
@@ -65,6 +71,8 @@ HARDY_MAX_DENOMINATOR = 1024
 # and the number of equispaced circle points that estimate the maximum
 BOUNDARY_TOL = 1e-9
 BOUNDARY_SAMPLES = 1024
+# nodes per block of whole grid rows (at least one row): 256 KiB of complex128
+_BLOCK_NODES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,9 @@ class ClosedForm:
 
     ``value``, ``dz`` and ``dzbar`` take a complex ndarray and return one;
     ``dzdzbar`` (the mixed second derivative, needed only by the
-    integration-by-parts check) is optional.
+    integration-by-parts check) is optional.  Every callable must be
+    elementwise: its value at a node depends on that node alone, since the
+    grid hands it one block of node rows at a time.
     """
 
     value: Callable
@@ -86,49 +96,93 @@ class DiscGrid:
     """Polar quadrature grid: Gauss-Legendre radii in (0,1), equispaced angles.
 
     The radial rule's stated polynomial exactness ``exact_degree`` is
-    validated at construction, on probe degrees up to ``exact_degree``.
+    validated at construction, on probe degrees up to ``exact_degree``;
+    ``gauss`` takes a rule validated once, when it was built.
     """
 
     def __init__(self, radial_nodes, radial_weights, angular_count, exact_degree):
         _require_count(angular_count, "angle")
-        self.radial_nodes = np.asarray(radial_nodes, dtype=float)
-        self.radial_weights = np.asarray(radial_weights, dtype=float)
-        self.angular_count = angular_count
-        if np.any(self.radial_weights <= 0):
-            raise ValueError("radial weights must be positive")
-        if np.any((self.radial_nodes <= 0) | (self.radial_nodes >= 1)):
-            raise ValueError("radial nodes must lie in (0, 1)")
-        self._validate_exactness(exact_degree)
-        self.angles = 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
-        self.nodes = self.radial_nodes[:, None] * np.exp(1j * self.angles)[None, :]
+        nodes = np.asarray(radial_nodes, dtype=float)
+        weights = np.asarray(radial_weights, dtype=float)
+        _validate_rule(nodes, weights, exact_degree)
+        self._place(nodes, weights, angular_count)
 
-    def _validate_exactness(self, degree):
-        for k in (k for k in (0, 1, 2, 3, 7, degree // 2, degree) if k <= degree):
-            exact = 1.0 / (k + 1)
-            got = float(np.sum(self.radial_weights * self.radial_nodes ** k))
-            if abs(got - exact) > 1e-11 * max(1.0, exact):
-                raise ValueError(f"radial rule fails exactness at degree {k}")
+    def _place(self, radial_nodes, radial_weights, angular_count):
+        self.radial_nodes = radial_nodes
+        self.radial_weights = radial_weights
+        self.angular_count = angular_count
+        self.angles = 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
+        self._circle = np.exp(1j * self.angles)[None, :]
+        self.nodes = self.radial_nodes[:, None] * self._circle
 
     @staticmethod
     def gauss(radial: int = DEFAULT_RADIAL, angular: int = DEFAULT_ANGULAR) -> "DiscGrid":
         _require_count(radial, "radius")
-        x, w = np.polynomial.legendre.leggauss(radial)
-        return DiscGrid(0.5 * (x + 1.0), 0.5 * w, angular, exact_degree=2 * radial - 1)
+        _require_count(angular, "angle")
+        grid = DiscGrid.__new__(DiscGrid)
+        grid._place(*_gauss_rule(radial), angular)
+        return grid
 
-    def integrate(self, values) -> complex:
-        """integral over D of values dA (polar measure r dr dtheta)."""
-        row = np.sum(values, axis=1) * (2.0 * np.pi / self.angular_count)
-        return complex(np.sum(self.radial_weights * self.radial_nodes * row))
+    def integrate(self, integrand: Callable) -> complex:
+        """integral over D of integrand dA (polar measure r dr dtheta).
 
-    def sample(self, fn: Callable) -> np.ndarray:
-        """fn at the grid nodes as a complex array; refuses a wrong shape or
+        ``integrand`` maps a block of whole node rows (a view of ``nodes``)
+        to its values there; each row is summed as if the grid were one block.
+        """
+        return complex(self._radial_sum(integrand, self.radial_nodes))
+
+    def _radial_sum(self, integrand: Callable, jacobian, radii=None):
+        """sum_k w_k jacobian_k (2 pi / A) sum_j integrand(z)_kj on the
+        blocks of ``_blocks(radii)``."""
+        row = np.concatenate([np.sum(integrand(z), axis=1) for z in self._blocks(radii)])
+        row = row * (2.0 * np.pi / self.angular_count)
+        return np.sum(self.radial_weights * jacobian * row)
+
+    def _blocks(self, radii=None):
+        """Whole node rows, _BLOCK_NODES nodes or one row at a time: views of
+        ``nodes``, or with ``radii`` the rows radii_k e^{i theta_j} of the grid
+        whose radial nodes are radii (the Hardy check's u^q)."""
+        rows = max(1, _BLOCK_NODES // self.angular_count)
+        for k in range(0, len(self.radial_nodes), rows):
+            if radii is None:
+                yield self.nodes[k:k + rows]
+            else:
+                yield radii[k:k + rows, None] * self._circle
+
+    @staticmethod
+    def sample(fn: Callable, z) -> np.ndarray:
+        """fn at the node block z as a complex array; refuses a wrong shape or
         a non-finite value (closed forms come from the caller)."""
-        values = np.asarray(fn(self.nodes), dtype=complex)
-        if values.shape != self.nodes.shape:
-            raise ValueError("values shape does not match the grid")
+        values = np.asarray(fn(z), dtype=complex)
+        if values.shape != z.shape:
+            raise ValueError("values shape does not match the node block")
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite function values")
         return values
+
+
+def _validate_rule(nodes, weights, degree):
+    if np.any(weights <= 0):
+        raise ValueError("radial weights must be positive")
+    if np.any((nodes <= 0) | (nodes >= 1)):
+        raise ValueError("radial nodes must lie in (0, 1)")
+    for k in (k for k in (0, 1, 2, 3, 7, degree // 2, degree) if k <= degree):
+        exact = 1.0 / (k + 1)
+        got = float(np.sum(weights * nodes ** k))
+        if abs(got - exact) > 1e-11 * max(1.0, exact):
+            raise ValueError(f"radial rule fails exactness at degree {k}")
+
+
+@functools.cache
+def _gauss_rule(radial: int):
+    """Gauss-Legendre nodes and weights on (0, 1), read-only; built and
+    validated once per radial count, on first use."""
+    x, w = leggauss(radial)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    _validate_rule(nodes, weights, 2 * radial - 1)
+    for a in (nodes, weights):
+        a.flags.writeable = False
+    return nodes, weights
 
 
 def _require_count(count, what: str):
@@ -181,15 +235,19 @@ def seminorm1(f: ClosedForm, grid: DiscGrid) -> float:
     polynomial within the grid's exactness (radial degree <= 2R - 1,
     angular degree < A).
     """
-    return 2.0 * grid.integrate(np.abs(grid.sample(f.dz)) ** 2).real
+    return 2.0 * grid.integrate(lambda z: np.abs(grid.sample(f.dz, z)) ** 2).real
 
 
 def dirichlet_pairing(f: ClosedForm, g: ClosedForm, grid: DiscGrid) -> complex:
     """(f, g)_1 = i int df ^ conj(dg) = 2 int f_z conj(g_z) dA on the grid."""
     if g is f:
-        fz = grid.sample(f.dz)
-        return 2.0 * grid.integrate(fz * np.conj(fz))
-    return 2.0 * grid.integrate(grid.sample(f.dz) * np.conj(grid.sample(g.dz)))
+        def integrand(z):
+            fz = grid.sample(f.dz, z)
+            return fz * np.conj(fz)
+    else:
+        def integrand(z):
+            return grid.sample(f.dz, z) * np.conj(grid.sample(g.dz, z))
+    return 2.0 * grid.integrate(integrand)
 
 
 def pullback_pow(f: ClosedForm, n: int) -> ClosedForm:
@@ -250,7 +308,7 @@ def check_dbar_equality(f: ClosedForm, grid: DiscGrid) -> Check:
     """int |f_z|^2 versus int |f_zbar|^2 for f vanishing on the boundary."""
     _require_boundary_vanishing(f)
     lhs = seminorm1(f, grid)
-    rhs = 2.0 * grid.integrate(np.abs(grid.sample(f.dzbar)) ** 2).real
+    rhs = 2.0 * grid.integrate(lambda z: np.abs(grid.sample(f.dzbar, z)) ** 2).real
     return Check.equality(lhs, rhs)
 
 
@@ -262,10 +320,13 @@ def check_hardy(f: ClosedForm, delta: float | Fraction, grid: DiscGrid) -> Check
     (which turns r^{delta-1} dr into q u^{p-1} du, keeping nodes off the
     singularity); rhs = (4/delta)^2 i int |f_z|^2 dz^dzbar; the residual is
     the excess max(0, lhs - rhs).  For f polynomial in z and zbar the
-    substituted radial integrand is a polynomial in u (degree 4q + p - 1 for
-    1 - |z|^2), so the Gauss rule is exact.  delta is a Fraction or a float
-    taken at its exact value: 0.25 is 1/4, but the float 0.1 has q = 2^55
-    and is refused, with any q > HARDY_MAX_DENOMINATOR, before grid work.
+    substituted radial integrand is a polynomial in u, and an R-node rule
+    is exact only up to degree 2R - 1: for 1 - |z|^2 the degree is
+    4q + p - 1, so the lhs is exact when 4q + p - 1 <= 2R - 1 and carries a
+    quadrature error beyond it (delta = 1/64 needs R >= 129).  delta is a
+    Fraction or a float taken at its exact value: 0.25 is 1/4, but the float
+    0.1 has q = 2^55 and is refused, with any q > HARDY_MAX_DENOMINATOR,
+    before grid work.
     """
     if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0 < delta < 2:
         raise ValueError(f"delta must be a real number in (0, 2), got {delta!r}")
@@ -275,11 +336,9 @@ def check_hardy(f: ClosedForm, delta: float | Fraction, grid: DiscGrid) -> Check
                          f"HARDY_MAX_DENOMINATOR = {HARDY_MAX_DENOMINATOR}")
     _require_boundary_vanishing(f)
     u = grid.radial_nodes
-    z = (u ** q)[:, None] * np.exp(1j * grid.angles)[None, :]
-    # f at the substituted nodes, through the grid's shape and finiteness checks
-    vals = np.abs(grid.sample(lambda _: f.value(z))) ** 2
-    row = np.sum(vals, axis=1) * (2.0 * np.pi / grid.angular_count)
-    lhs = 2.0 * q * float(np.sum(grid.radial_weights * u ** (p - 1) * row))
+    # f at the substituted nodes, block by block through the grid's shape and finiteness checks
+    lhs = 2.0 * q * float(grid._radial_sum(lambda z: np.abs(grid.sample(f.value, z)) ** 2,
+                                           u ** (p - 1), radii=u ** q))
     rhs = 16 * q * q / (p * p) * seminorm1(f, grid)
     return Check(lhs=lhs, rhs=rhs, residual=max(0.0, lhs - rhs))
 
@@ -299,7 +358,8 @@ def check_ibp(f: ClosedForm, g: ClosedForm, grid: DiscGrid) -> Check:
     _require_boundary_vanishing(f)
     if g.dzdzbar is None:
         raise ValueError("check_ibp needs the mixed second derivative of g")
-    lhs = 2.0 * grid.integrate(grid.sample(f.value) * np.conj(grid.sample(g.dzdzbar)))
+    lhs = 2.0 * grid.integrate(
+        lambda z: grid.sample(f.value, z) * np.conj(grid.sample(g.dzdzbar, z)))
     return Check.equality(lhs, -dirichlet_pairing(f, g, grid))
 
 
@@ -385,18 +445,19 @@ def verification_report(radial: int = DEFAULT_RADIAL, angular: int = DEFAULT_ANG
             Check.equality(seminorm1(pulled, grid), n * s_bump))
 
     def push_error(g, target):
-        pushed = grid.sample(pushforward_pow(g, 2).value)
-        return Check.equality(float(np.max(np.abs(pushed - target))), 0.0)
+        pushed = pushforward_pow(g, 2).value
+        return Check.equality(max(float(np.max(np.abs(grid.sample(pushed, z) - target(z))))
+                                  for z in grid._blocks()), 0.0)
 
     add("pushforward(|z|^2, 2) = 2|w| (max node error)",
-        push_error(abs2, 2.0 * np.abs(grid.nodes)))
+        push_error(abs2, lambda z: 2.0 * np.abs(z)))
     log_cf = ClosedForm(
         value=lambda z: -np.log(np.abs(z) ** 2).astype(complex),
         dz=lambda z: -1.0 / z,
         dzbar=lambda z: -1.0 / np.conj(z),
     )
     add("pushforward(-log|z|^2, 2) telescopes (max node error)",
-        push_error(log_cf, -np.log(np.abs(grid.nodes) ** 2)))
+        push_error(log_cf, lambda z: -np.log(np.abs(z) ** 2)))
 
     add("dbar equality, f=1-|z|^2", check_dbar_equality(bump, grid))
     dbar_z = check_dbar_equality(cf_bump_times_z(), grid)

@@ -1,11 +1,14 @@
 """Disc verification kernel: closed-form oracles, grid sweeps, error paths."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
+from eischow import disc
 from eischow.disc import (
     DEFAULT_TOL,
     ClosedForm,
@@ -48,6 +51,16 @@ def test_grid_probes_only_degrees_the_rule_integrates(radial):
         DiscGrid(nodes, weights, 4, exact_degree=2 * radial)
 
 
+def test_grid_builds_each_gauss_rule_once(count_calls):
+    disc._gauss_rule.cache_clear()
+    calls = count_calls(leggauss)
+    first, second = DiscGrid.gauss(40, 8), DiscGrid.gauss(40, 12)
+    assert calls == [(40,)]
+    assert second.radial_nodes is first.radial_nodes
+    for a in (first.radial_nodes, first.radial_weights):
+        assert not a.flags.writeable
+
+
 @pytest.mark.parametrize("radial, angular, what", [
     pytest.param(8, 0, "angle", id="0"),
     pytest.param(8, -3, "angle", id="-3"),
@@ -66,14 +79,22 @@ def test_grid_refuses_fewer_than_one_angle(radial, angular, what):
 
 def test_grid_sample_refuses_wrong_shape_and_non_finite_values():
     with pytest.raises(ValueError, match="shape"):
-        GRID.sample(lambda z: z[0])
+        GRID.sample(lambda z: z[0], GRID.nodes)
+    # the closed form is elementwise: it names the bad node, not an index into its block
+    hole = GRID.nodes[3, 5]
     with pytest.raises(ValueError, match="non-finite"):
-        GRID.sample(lambda z: np.where(z == z[3, 5], np.inf, z))
+        GRID.sample(lambda z: np.where(z == hole, np.inf, z), GRID.nodes)
     # derivatives go through the same check
     bad_dz = ClosedForm(value=lambda z: z, dz=lambda z: np.full_like(z, np.nan),
                         dzbar=lambda z: np.zeros_like(z))
     with pytest.raises(ValueError, match="non-finite"):
         seminorm1(bad_dz, GRID)
+    # on every block of rows, the last one too (128 x 256 runs as two blocks of 64 rows)
+    last = GRID.nodes[127, 200]
+    late_dz = ClosedForm(value=lambda z: z, dz=lambda z: np.where(z == last, np.nan, z),
+                         dzbar=lambda z: np.zeros_like(z))
+    with pytest.raises(ValueError, match="non-finite"):
+        seminorm1(late_dz, GRID)
     # and so do the Hardy check's substituted nodes: a NaN lhs must not pass as
     # max(0, nan - rhs) = 0
     holed = ClosedForm(value=lambda z: np.where(np.abs(z) < 0.3, np.nan, BUMP.value(z)),
@@ -120,12 +141,45 @@ def test_verification_report_grid_sweep(radial, angular, passes):
         assert any(name.startswith("hardy lhs at delta=0.25") for name in failing)
 
 
+def _hexed(report):
+    return [(c["name"], c["lhs"]["re"].hex(), c["rhs"]["re"].hex(), c["rhs"]["im"].hex(),
+             c["residual"].hex()) for c in report["checks"]]
+
+
+def test_report_in_blocks_matches_the_whole_grid(monkeypatch):
+    # 100 x 300 runs as row blocks of 54 and 46; the lhs imaginary parts may
+    # differ only in the sign of their rounding residue (numpy's temporary
+    # elision swaps a product's operands from 256 KiB up)
+    blocked = verification_report(100, 300)
+    monkeypatch.setattr(disc, "_BLOCK_NODES", 100 * 300)
+    whole = verification_report(100, 300)
+    assert _hexed(blocked) == _hexed(whole)
+    for b, w in zip(blocked["checks"], whole["checks"]):
+        assert abs(b["lhs"]["im"]) == abs(w["lhs"]["im"]) < 1e-17
+
+
+def test_report_passes_with_rows_longer_than_a_block():
+    assert 20000 > disc._BLOCK_NODES
+    assert verification_report(9, 20000)["passed"]
+
+
+def test_report_memory_stays_below_three_grid_arrays():
+    # one 256 x 512 complex array is 2 MiB; blocks keep the peak near the nodes alone
+    tracemalloc.start()
+    try:
+        verification_report(256, 512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 256 * 512 * 16
+
+
 def test_pullback_trivial_values():
     f = cf_coordinate()
     for n in (1, 2, 5):
         pulled = pullback_pow(f, n)
         assert isinstance(pulled, ClosedForm)
-        assert np.allclose(GRID.sample(pulled.value), GRID.nodes ** n)
+        assert np.allclose(GRID.sample(pulled.value, GRID.nodes), GRID.nodes ** n)
 
 
 def test_pullback_degree_identity():
@@ -137,7 +191,7 @@ def test_pullback_degree_identity():
 def test_pushforward_abs2():
     push = pushforward_pow(cf_abs2(), 2)
     assert isinstance(push, ClosedForm)
-    assert np.max(np.abs(GRID.sample(push.value) - 2.0 * np.abs(GRID.nodes))) < 1e-12
+    assert np.max(np.abs(GRID.sample(push.value, GRID.nodes) - 2.0 * np.abs(GRID.nodes))) < 1e-12
 
 
 def test_pushforward_log_telescopes():
@@ -147,7 +201,7 @@ def test_pushforward_log_telescopes():
         dzbar=lambda z: -1.0 / np.conj(z),
     )
     for n in (2, 3):
-        push = GRID.sample(pushforward_pow(log_cf, n).value)
+        push = GRID.sample(pushforward_pow(log_cf, n).value, GRID.nodes)
         assert np.max(np.abs(push + np.log(np.abs(GRID.nodes) ** 2))) < 1e-12
 
 
@@ -194,6 +248,17 @@ def test_hardy_small_delta_rescales_constant():
         d = float(delta)
         exact = 4.0 * math.pi * (1.0 / d - 2.0 / (d + 2.0) + 1.0 / (d + 4.0))
         assert abs(check_hardy(BUMP, delta, GRID).lhs - exact) < 1e-12
+
+
+def test_hardy_is_exact_only_within_the_radial_degree():
+    # at delta = 1/64 the radial integrand of 1 - |z|^2 has degree 4q + p - 1 = 256
+    delta = Fraction(1, 64)
+    d = float(delta)
+    exact = 4.0 * math.pi * (1.0 / d - 2.0 / (d + 2.0) + 1.0 / (d + 4.0))
+    coarse = check_hardy(BUMP, delta, DiscGrid.gauss(16, 32)).lhs
+    fine = check_hardy(BUMP, delta, DiscGrid.gauss(129, 32)).lhs
+    assert abs(coarse - exact) > 1e-6 * exact
+    assert abs(fine - exact) < 1e-12 * exact
 
 
 def test_hardy_randomized_polynomial_family():
